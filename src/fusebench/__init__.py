@@ -12,15 +12,11 @@ from .baselines import (
     MethodEvaluation,
     WeightVector,
     evaluate_baselines,
-    fuse_rule,
-    fuse_weighted,
     ga_tune_weights,
     geometric_selection_probs,
 )
 from .datasets import (
-    Label,
     ScoreDataset,
-    ScoreTuple,
     SplitPair,
     SyntheticSpec,
     generate_synthetic,
@@ -55,7 +51,7 @@ from .metrics import (
     hter,
     sweep_roc,
 )
-from .normalization import TanhNormalizer, fit_tanh_normalizer, normalize
+from .normalization import TanhNormalizer, fit_tanh_normalizer
 from .trees import Const, ExpressionTree, Func, Var, parse_sexpr, tree_to_sexpr
 
 __version__ = "0.1.0"
@@ -73,12 +69,10 @@ __all__ = [
     "FusionRule",
     "GaConfig",
     "GenerationStats",
-    "Label",
     "MethodEvaluation",
     "RocCurve",
     "ScoreDataset",
     "ScoreFileError",
-    "ScoreTuple",
     "SexprError",
     "SplitPair",
     "SyntheticSpec",
@@ -94,15 +88,12 @@ __all__ = [
     "exact_eer",
     "fit_tanh_normalizer",
     "fitness",
-    "fuse_rule",
-    "fuse_weighted",
     "ga_tune_weights",
     "gain",
     "generate_synthetic",
     "geometric_selection_probs",
     "hter",
     "load_dataset",
-    "normalize",
     "parse_sexpr",
     "run_experiment",
     "save_dataset",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .datasets import ScoreDataset, SplitPair
 from .errors import ValidationError
+from .gp import GenerationStats, population_stats
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_roc
 
 WEIGHT_LO = -10.0
@@ -49,9 +50,6 @@ class WeightVector:
             raise ValidationError(
                 f"weights {self.weights} leave the interval [{self.lo}, {self.hi}]"
             )
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,6 @@ class GaConfig:
         return cls(seed=seed, population_size=200, generations=60)
 
 
-@dataclass(frozen=True)
-class GaGenerationStats:
-    generation: int
-    best: float
-    worst: float
-    mean: float
-    std: float
-    best_weights: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class MethodEvaluation:
     """One report row: threshold fixed on train, errors measured on validation."""
@@ -122,7 +110,7 @@ class MethodEvaluation:
 class BaselineReport:
     results: tuple[MethodEvaluation, ...]
     tuned_weights: "WeightVector | None"
-    ga_history: "tuple[GaGenerationStats, ...] | None"
+    ga_history: "tuple[GenerationStats, ...] | None"
 
 
 def fuse_rule_matrix(rule: FusionRule, scores) -> np.ndarray:
@@ -137,12 +125,6 @@ def fuse_rule_matrix(rule: FusionRule, scores) -> np.ndarray:
     return scores.prod(axis=1)
 
 
-def fuse_rule(rule: FusionRule, tuple_scores) -> float:
-    """Fixed rule on a single score tuple; shares the matrix code path."""
-    row = np.atleast_2d(np.asarray(tuple_scores, dtype=np.float64))
-    return float(fuse_rule_matrix(rule, row)[0])
-
-
 def fuse_weighted_matrix(weights, scores) -> np.ndarray:
     """Weighted sum per row; all-ones weights reproduce the sum rule exactly."""
     w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
@@ -152,11 +134,6 @@ def fuse_weighted_matrix(weights, scores) -> np.ndarray:
             f"weight length {w.size} does not match matrix shape {scores.shape}"
         )
     return (scores * w).sum(axis=1)
-
-
-def fuse_weighted(weights, tuple_scores) -> float:
-    row = np.atleast_2d(np.asarray(tuple_scores, dtype=np.float64))
-    return float(fuse_weighted_matrix(weights, row)[0])
 
 
 def rule_scores(rule: FusionRule, ds: ScoreDataset) -> FusedScores:
@@ -198,18 +175,6 @@ def _weighted_eer(w: np.ndarray, genuine: np.ndarray, impostor: np.ndarray) -> f
     return sweep_roc(fused).eer
 
 
-def _ga_stats(generation, fits, pop) -> GaGenerationStats:
-    best = int(np.argmin(fits))
-    return GaGenerationStats(
-        generation=generation,
-        best=float(fits.min()),
-        worst=float(fits.max()),
-        mean=float(fits.mean()),
-        std=float(fits.std()),
-        best_weights=tuple(pop[best].tolist()),
-    )
-
-
 def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
     """Tune weighted-sum weights by a rank-selection GA minimizing train EER.
 
@@ -237,9 +202,9 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
     last = cfg.population_size - 1
 
-    history = [_ga_stats(0, fits, pop)]
+    history = [population_stats(0, pop, fits)]
     best_fit = history[0].best
-    best_w = np.array(history[0].best_weights)
+    best_w = np.array(history[0].best_individual)
 
     for generation in range(1, cfg.generations + 1):
         order = np.argsort(fits, kind="stable")
@@ -272,11 +237,11 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
             new_fits[slot] = _weighted_eer(child, train.genuine, train.impostor)
 
         pop, fits = new_pop, new_fits
-        stats = _ga_stats(generation, fits, pop)
+        stats = population_stats(generation, pop, fits)
         history.append(stats)
         if stats.best < best_fit:
             best_fit = stats.best
-            best_w = np.array(stats.best_weights)
+            best_w = np.array(stats.best_individual)
 
     weights = WeightVector(tuple(best_w.tolist()), lo=cfg.weight_lo, hi=cfg.weight_hi)
     return weights, tuple(history)
@@ -300,24 +265,23 @@ def evaluate_fused_method(method: str, train_fs: FusedScores,
     )
 
 
-def evaluate_baselines(split: SplitPair, *, ga_config: GaConfig | None = None,
-                       rules=(FusionRule.SUM, FusionRule.MIN, FusionRule.MUL),
-                       include_modalities: bool = True) -> BaselineReport:
+def evaluate_baselines(
+    split: SplitPair, *, ga_config: GaConfig | None = None,
+    rules=(FusionRule.SUM, FusionRule.MIN, FusionRule.MUL),
+) -> BaselineReport:
     """Evaluate every baseline on an already-normalized split.
 
     Emits one row per single modality (s1..sn), one per fixed rule, and,
     when ``ga_config`` is given, the GA-tuned weighted sum.
     """
-    results = []
-    if include_modalities:
-        for m in range(split.train.modality_count):
-            results.append(
-                evaluate_fused_method(
-                    f"s{m + 1}",
-                    single_modality_scores(m, split.train),
-                    single_modality_scores(m, split.validation),
-                )
-            )
+    results = [
+        evaluate_fused_method(
+            f"s{m + 1}",
+            single_modality_scores(m, split.train),
+            single_modality_scores(m, split.validation),
+        )
+        for m in range(split.train.modality_count)
+    ]
     for rule in rules:
         results.append(
             evaluate_fused_method(

@@ -1,11 +1,12 @@
 """Score dataset handling: CSV ingestion, deterministic splitting, synthesis.
 
-A score file is a UTF-8, LF-terminated CSV with one row per comparison
-event: columns 1..n hold the per-modality match scores and the final column
-is the label, ``genuine`` or ``impostor`` (case-insensitive).  An optional
-header row is detected by a non-numeric first field.  Scores follow the
-similarity convention (higher = more likely genuine); matchers that emit
-distances can be flipped per modality at load time.
+A score file is a UTF-8 (optionally BOM-prefixed), LF-terminated CSV with
+one row per comparison event: columns 1..n hold the per-modality match
+scores and the final column is the label, ``genuine`` or ``impostor``
+(case-insensitive).  An optional header row is detected by a non-numeric
+first field.  Scores follow the similarity convention (higher = more likely
+genuine); matchers that emit distances can be flipped per modality at load
+time.
 
 Datasets are immutable once constructed and keep rows in ingestion order,
 which the half/half splitting protocol relies on.
@@ -14,34 +15,16 @@ which the half/half splitting protocol relies on.
 from __future__ import annotations
 
 import csv
-import enum
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ScoreFileError, ValidationError
 
 _LABELS = ("genuine", "impostor")
-
-
-class Label(enum.Enum):
-    GENUINE = "genuine"
-    IMPOSTOR = "impostor"
-
-
-@dataclass(frozen=True)
-class ScoreTuple:
-    """One comparison event: per-modality scores plus its class label."""
-
-    scores: tuple[float, ...]
-    label: Label
-
-    def __post_init__(self):
-        if not all(math.isfinite(s) for s in self.scores):
-            raise ValidationError(f"non-finite score in tuple {self.scores!r}")
 
 
 def _as_score_matrix(values, modality_count: int, what: str) -> np.ndarray:
@@ -92,12 +75,6 @@ class ScoreDataset:
     def impostor_count(self) -> int:
         return self.impostor.shape[0]
 
-    def genuine_tuples(self) -> list[ScoreTuple]:
-        return [ScoreTuple(tuple(row), Label.GENUINE) for row in self.genuine.tolist()]
-
-    def impostor_tuples(self) -> list[ScoreTuple]:
-        return [ScoreTuple(tuple(row), Label.IMPOSTOR) for row in self.impostor.tolist()]
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -142,16 +119,6 @@ class SyntheticSpec:
                 raise ValidationError(f"all {field} must be strictly positive")
         if self.genuine_count < 1 or self.impostor_count < 1:
             raise ValidationError("genuine_count and impostor_count must be >= 1")
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping) -> "SyntheticSpec":
-        try:
-            return cls(**dict(mapping))
-        except TypeError as exc:
-            raise ValidationError(f"bad synthetic spec: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _parse_row(path, line_no: int, row: list[str],
@@ -209,7 +176,7 @@ def load_dataset(path, modality_count: int, *,
         )
     genuine_rows: list[list[float]] = []
     impostor_rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line_no, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue

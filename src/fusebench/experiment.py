@@ -101,13 +101,11 @@ def _safe_gain(ref: float, new: float):
 def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
                    ga_preset: str = "desk", gp_generations: "int | None" = None,
                    ga_config: "GaConfig | None" = None,
-                   gp_config: "EvolutionConfig | None" = None,
-                   gp_observer=None) -> ExperimentResult:
+                   gp_config: "EvolutionConfig | None" = None) -> ExperimentResult:
     """Run the full pipeline on one dataset and assemble report + artifacts.
 
     ``ga_config`` / ``gp_config`` override the preset-derived defaults when
-    given (their seeds are then used verbatim).  ``gp_observer`` is passed
-    through to :func:`fusebench.gp.evolve`.
+    given (their seeds are then used verbatim).
     """
     methods = select_methods(methods)
     if ga_preset not in GA_PRESETS:
@@ -131,13 +129,12 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
         normalized,
         ga_config=ga_config if "weight" in methods else None,
         rules=tuple(_RULES[m] for m in methods if m in _RULES),
-        include_modalities=True,
     )
     rows = list(baseline.results)
 
     gp_result = None
     if "gp" in methods:
-        gp_result = evolve(train, gp_config, observer=gp_observer)
+        gp_result = evolve(train, gp_config)
         rows.append(
             evaluate_fused_method(
                 "gp",

@@ -34,16 +34,15 @@ from .errors import ValidationError
 from .metrics import FusedScores, sweep_roc
 from .trees import (
     FUNCTION_OPS,
+    MAX_TREE_DEPTH,
     Const,
     ExpressionTree,
     Func,
     Node,
     Var,
-    count_nodes,
     evaluate_matrix,
-    iter_nodes,
+    node_at,
     replace_at,
-    subtree_at,
 )
 
 CROSSOVER_RETRIES = 10
@@ -72,10 +71,11 @@ class EvolutionConfig:
             raise ValidationError("population_size must be >= 2")
         if self.max_generations < 1:
             raise ValidationError("max_generations must be >= 1")
-        if not 1 <= self.init_depth_min <= self.init_depth_max <= self.max_depth:
-            raise ValidationError(
-                "need 1 <= init_depth_min <= init_depth_max <= max_depth"
-            )
+        # every tree a run writes must stay replayable by parse_sexpr
+        if not (1 <= self.init_depth_min <= self.init_depth_max <= self.max_depth
+                <= MAX_TREE_DEPTH):
+            raise ValidationError("need 1 <= init_depth_min <= init_depth_max"
+                                  f" <= max_depth <= {MAX_TREE_DEPTH}")
         for name in ("p_crossover", "p_mutation", "p_reproduction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
@@ -94,14 +94,15 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Fitness distribution snapshot of one generation (fitness minimized)."""
+    """Fitness distribution snapshot of one GP or GA generation (fitness
+    minimized) with its best individual: a tree, or a weight tuple."""
 
     generation: int
     best: float
     worst: float
     mean: float
     std: float
-    best_tree: ExpressionTree
+    best_individual: "ExpressionTree | tuple[float, ...]"
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,11 @@ def crossover(parent1: ExpressionTree, parent2: ExpressionTree,
     would exceed the depth cap, fresh picks are retried a bounded number of
     times before falling back to a copy of parent1.
     """
-    n1 = count_nodes(parent1.root)
-    n2 = count_nodes(parent2.root)
+    n1 = parent1.root.size
+    n2 = parent2.root.size
     for _ in range(CROSSOVER_RETRIES):
         slot = int(rng.integers(1, n1))
-        donor = subtree_at(parent2.root, int(rng.integers(0, n2)))
+        donor, _ = node_at(parent2.root, int(rng.integers(0, n2)))
         candidate = replace_at(parent1.root, slot, donor)
         tree = ExpressionTree(candidate)
         if tree.depth <= cfg.max_depth:
@@ -239,24 +240,29 @@ def mutate(parent: ExpressionTree, cfg: EvolutionConfig, terminals, rng) -> Expr
     remaining depth budget, so the mutant can never exceed the cap and a
     zero budget degenerates to a terminal replacement.
     """
-    nodes = list(iter_nodes(parent.root))
-    slot = int(rng.integers(1, len(nodes)))
-    budget = cfg.max_depth - nodes[slot][1]
+    slot = int(rng.integers(1, parent.root.size))
+    _, slot_depth = node_at(parent.root, slot)
+    budget = cfg.max_depth - slot_depth
     target = int(rng.integers(0, budget + 1))
     replacement = _grow_node(target, terminals, rng)
     return ExpressionTree(replace_at(parent.root, slot, replacement))
 
 
-def _population_stats(generation: int, population, fitnesses) -> GenerationStats:
+def population_stats(generation: int, population, fitnesses) -> GenerationStats:
+    """Summarize one generation.  A best individual that is a row of a
+    population array is copied to a tuple: a view would keep the whole
+    generation's array alive for as long as the history."""
     fits = np.asarray(fitnesses, dtype=np.float64)
-    best_idx = int(np.argmin(fits))
+    best = population[int(np.argmin(fits))]
+    if isinstance(best, np.ndarray):
+        best = tuple(best.tolist())
     return GenerationStats(
         generation=generation,
         best=float(fits.min()),
         worst=float(fits.max()),
         mean=float(fits.mean()),
         std=float(fits.std()),
-        best_tree=population[best_idx],
+        best_individual=best,
     )
 
 
@@ -287,8 +293,8 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
             observer(tree)
     fitnesses = [fitness(tree, train) for tree in population]
 
-    history = [_population_stats(0, population, fitnesses)]
-    best_tree = history[0].best_tree
+    history = [population_stats(0, population, fitnesses)]
+    best_tree = history[0].best_individual
     best_fitness = history[0].best
 
     elite_count = min(max(1, round(cfg.p_reproduction * cfg.population_size)),
@@ -319,11 +325,11 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
             next_fitnesses.append(fitness(child, train))
         population = next_population
         fitnesses = next_fitnesses
-        stats = _population_stats(generation, population, fitnesses)
+        stats = population_stats(generation, population, fitnesses)
         history.append(stats)
         if stats.best < best_fitness:
             best_fitness = stats.best
-            best_tree = stats.best_tree
+            best_tree = stats.best_individual
 
     return EvolutionResult(best_tree, best_fitness, tuple(history))
 

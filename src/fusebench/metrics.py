@@ -71,9 +71,6 @@ class RocCurve:
         if not (self.thresholds.shape == self.far.shape == self.frr.shape):
             raise ValidationError("threshold/FAR/FRR arrays must align")
 
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.thresholds.tolist(), self.far.tolist(), self.frr.tolist()))
-
 
 def far_at(impostor, threshold: float) -> float:
     """Fraction of impostor scores accepted (>= threshold)."""

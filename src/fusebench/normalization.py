@@ -64,19 +64,6 @@ class TanhNormalizer:
         )
 
 
-def normalize(score: float, m: int, norm: TanhNormalizer) -> float:
-    """Map one raw score of modality ``m`` into (0, 1).
-
-    Shares the vectorized arithmetic, so scalar and matrix paths agree
-    bit-for-bit.
-    """
-    if not 0 <= m < norm.modality_count:
-        raise ValidationError(f"modality {m} out of range")
-    return float(
-        0.5 * (np.tanh((score - norm.means[m]) / (100.0 * norm.stddevs[m])) + 1.0)
-    )
-
-
 def fit_tanh_normalizer(train: ScoreDataset) -> TanhNormalizer:
     """Estimate per-modality location/scale from the genuine training scores.
 

@@ -12,14 +12,14 @@ float64 overflow threshold for every op in the set, no intermediate can
 reach infinity and no NaN can arise.
 
 Trees serialize to s-expressions such as ``(add (var 0) (const 0.5))`` and
-parse back exactly.
+parse back exactly, up to ``MAX_TREE_DEPTH`` levels of nesting.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -29,6 +29,9 @@ FUNCTION_OPS = ("add", "sub", "mul", "div", "min", "max", "avg")
 
 DIV_EPSILON = 1e-12
 VALUE_CLAMP = 1e100
+# Deepest tree the parser accepts and GP may breed; comparing, printing and
+# evaluating recurse per level, so it sits well below the recursion limit.
+MAX_TREE_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -37,9 +40,16 @@ class Var:
 
     index: int
 
+    size = 1
+    depth = 0
+
     def __post_init__(self):
         if self.index < 0:
             raise ValidationError(f"variable index must be >= 0, got {self.index}")
+
+    @property
+    def max_var(self) -> int:
+        return self.index
 
 
 @dataclass(frozen=True)
@@ -48,54 +58,61 @@ class Const:
 
     value: float
 
+    size = 1
+    depth = 0
+    max_var = -1
+
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
 class Func:
-    """Binary function application over two child nodes."""
+    """Binary function application over two child nodes.
+
+    ``size`` (node count), ``depth`` (edge count to the deepest terminal)
+    and ``max_var`` (largest modality index referenced, -1 if none) are
+    derived from the children once, at construction.
+    """
 
     op: str
     left: "Node"
     right: "Node"
+    size: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+    max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.op not in FUNCTION_OPS:
             raise ValidationError(f"unknown operator {self.op!r}")
+        object.__setattr__(self, "size", 1 + self.left.size + self.right.size)
+        object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
+        object.__setattr__(self, "max_var", max(self.left.max_var, self.right.max_var))
 
 
 Node = Union[Var, Const, Func]
 
 
-def node_depth(node: Node) -> int:
-    """Depth as edge count: terminals are 0, a function is 1 + deepest child."""
-    if isinstance(node, Func):
-        return 1 + max(node_depth(node.left), node_depth(node.right))
-    return 0
-
-
 def count_nodes(node: Node) -> int:
-    if isinstance(node, Func):
-        return 1 + count_nodes(node.left) + count_nodes(node.right)
-    return 1
+    """Number of nodes in the subtree; the same as ``node.size``."""
+    return node.size
 
 
-def iter_nodes(node: Node, depth: int = 0) -> Iterator[tuple[Node, int]]:
-    """Preorder traversal yielding (node, depth-from-root) pairs."""
-    yield node, depth
-    if isinstance(node, Func):
-        yield from iter_nodes(node.left, depth + 1)
-        yield from iter_nodes(node.right, depth + 1)
-
-
-def subtree_at(node: Node, index: int) -> Node:
-    """Node at the given preorder index (0 is the node itself)."""
-    for candidate, _ in iter_nodes(node):
-        if index == 0:
-            return candidate
+def node_at(node: Node, index: int) -> tuple[Node, int]:
+    """Subtree at a preorder index (0 is the node itself) and its depth
+    below ``node``, found by one descent that skips whole left subtrees."""
+    if not 0 <= index < node.size:
+        raise ValidationError(f"node index {index} out of range")
+    depth = 0
+    while index:
         index -= 1
-    raise ValidationError(f"node index {index} out of range")
+        if index >= node.left.size:
+            index -= node.left.size
+            node = node.right
+        else:
+            node = node.left
+        depth += 1
+    return node, depth
 
 
 def replace_at(node: Node, index: int, replacement: Node) -> Node:
@@ -107,7 +124,7 @@ def replace_at(node: Node, index: int, replacement: Node) -> Node:
         return replacement
     if not isinstance(node, Func):
         raise ValidationError(f"node index {index} out of range")
-    left_size = count_nodes(node.left)
+    left_size = node.left.size
     if index - 1 < left_size:
         return Func(node.op, replace_at(node.left, index - 1, replacement), node.right)
     return Func(
@@ -115,26 +132,19 @@ def replace_at(node: Node, index: int, replacement: Node) -> Node:
     )
 
 
-def max_var_index(node: Node) -> int:
-    """Largest modality index referenced, or -1 for a constant-only tree."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Func):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    return -1
-
-
 @dataclass(frozen=True)
 class ExpressionTree:
     """A fusion function; the root must be a function node."""
 
     root: Func
-    depth: int = -1
 
     def __post_init__(self):
         if not isinstance(self.root, Func):
             raise ValidationError("tree root must be a function node, not a terminal")
-        object.__setattr__(self, "depth", node_depth(self.root))
+
+    @property
+    def depth(self) -> int:
+        return self.root.depth
 
     def __str__(self) -> str:
         return to_sexpr(self.root)
@@ -177,18 +187,12 @@ def evaluate_matrix(tree: ExpressionTree, scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValidationError(f"expected a 2-D score matrix, got shape {scores.shape}")
-    needed = max_var_index(tree.root)
+    needed = tree.root.max_var
     if needed >= scores.shape[1]:
         raise ValidationError(
             f"tree references modality {needed} but data has {scores.shape[1]} modalities"
         )
     return _eval_node(tree.root, np.clip(scores, -VALUE_CLAMP, VALUE_CLAMP))
-
-
-def evaluate_tuple(tree: ExpressionTree, scores) -> float:
-    """Evaluate one score tuple; shares the matrix path bit-for-bit."""
-    row = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    return float(evaluate_matrix(tree, row)[0])
 
 
 def to_sexpr(node: Node) -> str:
@@ -206,7 +210,9 @@ def tree_to_sexpr(tree: ExpressionTree) -> str:
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
-def _parse_node(tokens: list[str], pos: int) -> tuple[Node, int]:
+def _parse_node(tokens: list[str], pos: int, level: int) -> tuple[Node, int]:
+    if level > MAX_TREE_DEPTH:
+        raise SexprError(f"expression nests deeper than {MAX_TREE_DEPTH} levels")
     if pos >= len(tokens):
         raise SexprError("unexpected end of expression")
     if tokens[pos] != "(":
@@ -233,8 +239,8 @@ def _parse_node(tokens: list[str], pos: int) -> tuple[Node, int]:
             raise SexprError(f"bad constant value {tokens[pos]!r}") from None
         pos += 1
     elif head in FUNCTION_OPS:
-        left, pos = _parse_node(tokens, pos)
-        right, pos = _parse_node(tokens, pos)
+        left, pos = _parse_node(tokens, pos, level + 1)
+        right, pos = _parse_node(tokens, pos, level + 1)
         node = Func(head, left, right)
     else:
         raise SexprError(f"unknown operator {head!r}")
@@ -249,7 +255,7 @@ def parse_sexpr(text: str) -> ExpressionTree:
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise SexprError("empty expression")
-    node, pos = _parse_node(tokens, 0)
+    node, pos = _parse_node(tokens, 0, 0)
     if pos != len(tokens):
         raise SexprError(f"trailing input starting at {tokens[pos]!r}")
     if not isinstance(node, Func):

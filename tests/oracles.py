@@ -112,3 +112,36 @@ def naive_eval(node, scores):
     if node.op == "max":
         return max(a, b)
     return (a + b) / 2
+
+
+def naive_size(node):
+    """Node count by full recursion."""
+    if type(node).__name__ == "Func":
+        return 1 + naive_size(node.left) + naive_size(node.right)
+    return 1
+
+
+def naive_depth(node):
+    """Depth as edge count: terminals are 0, a function is 1 + deepest child."""
+    if type(node).__name__ == "Func":
+        return 1 + max(naive_depth(node.left), naive_depth(node.right))
+    return 0
+
+
+def naive_max_var(node):
+    """Largest modality index referenced, or -1 for a constant-only tree."""
+    kind = type(node).__name__
+    if kind == "Var":
+        return node.index
+    if kind == "Func":
+        return max(naive_max_var(node.left), naive_max_var(node.right))
+    return -1
+
+
+def naive_preorder(node, depth=0):
+    """Every (subtree, depth-from-root) pair in preorder."""
+    pairs = [(node, depth)]
+    if type(node).__name__ == "Func":
+        pairs += naive_preorder(node.left, depth + 1)
+        pairs += naive_preorder(node.right, depth + 1)
+    return pairs

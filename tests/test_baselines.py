@@ -9,9 +9,7 @@ from fusebench.baselines import (
     WeightVector,
     evaluate_baselines,
     evaluate_fused_method,
-    fuse_rule,
     fuse_rule_matrix,
-    fuse_weighted,
     fuse_weighted_matrix,
     ga_tune_weights,
     geometric_selection_probs,
@@ -59,9 +57,12 @@ class TestFixedRules:
         )
 
     def test_scalar_path_matches_matrix_path(self):
+        """One tuple fused alone, as a one-row matrix, matches its row of
+        the whole matrix."""
         for rule in FusionRule:
-            for row in self.matrix:
-                assert fuse_rule(rule, row) == fuse_rule_matrix(rule, [row])[0]
+            whole = fuse_rule_matrix(rule, self.matrix)
+            for i, expected in enumerate(whole):
+                assert fuse_rule_matrix(rule, self.matrix[i:i + 1])[0] == expected
 
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValidationError):
@@ -87,7 +88,7 @@ class TestWeightedSum:
         assert np.array_equal(fuse_weighted_matrix([1.0, 0.0], matrix), matrix[:, 0])
 
     def test_hand_value(self):
-        assert fuse_weighted((2.0, -1.0), (0.5, 0.5)) == 0.5
+        assert fuse_weighted_matrix((2.0, -1.0), [(0.5, 0.5)]).tolist() == [0.5]
 
     def test_accepts_weight_vector_objects(self):
         matrix = np.array([[0.25, 0.75]])
@@ -120,7 +121,6 @@ class TestWeightVector:
     def test_coerces_to_floats(self):
         wv = WeightVector((1, 2))
         assert wv.weights == (1.0, 2.0)
-        assert len(wv) == 2
 
     def test_default_interval(self):
         assert WeightVector((10.0, -10.0)).weights == (10.0, -10.0)
@@ -221,7 +221,16 @@ class TestGaTuning:
         second_w, second_h = ga_tune_weights(ds, tiny_ga_config())
         assert first_w == second_w
         assert [st.best for st in first_h] == [st.best for st in second_h]
-        assert first_h[-1].best_weights == second_h[-1].best_weights
+        assert first_h[-1].best_individual == second_h[-1].best_individual
+
+    def test_history_holds_copied_weight_tuples(self, make_gaussian):
+        ds = make_gaussian(seed=23, modalities=3, genuine=40, impostor=80)
+        tuned, history = ga_tune_weights(ds, tiny_ga_config())
+        for st in history:
+            assert isinstance(st.best_individual, tuple)
+            assert len(st.best_individual) == 3
+        first_best = min(history, key=lambda st: st.best)
+        assert first_best.best_individual == tuned.weights
 
     def test_learns_to_discount_a_noise_modality(self, make_gaussian):
         # modality 3 carries no signal; the sum rule pays for it, the tuned
@@ -290,7 +299,7 @@ class TestEvaluateBaselines:
         assert [r.method for r in report.results] == [
             "s1", "s2", "sum", "min", "mul", "weight",
         ]
-        assert len(report.tuned_weights) == 2
+        assert len(report.tuned_weights.weights) == 2
         assert report.ga_history is not None
 
     def test_all_rates_are_probabilities(self, make_gaussian):
@@ -311,9 +320,7 @@ class TestEvaluateBaselines:
         by_method = {r.method: r for r in report.results}
         assert by_method["weight"].train_eer <= by_method["sum"].train_eer + 1e-9
 
-    def test_rule_subset_and_no_modalities(self, make_gaussian):
+    def test_rule_subset(self, make_gaussian):
         split = normalized_split(make_gaussian(seed=44, modalities=2))
-        report = evaluate_baselines(
-            split, rules=(FusionRule.SUM,), include_modalities=False
-        )
-        assert [r.method for r in report.results] == ["sum"]
+        report = evaluate_baselines(split, rules=(FusionRule.SUM,))
+        assert [r.method for r in report.results] == ["s1", "s2", "sum"]

@@ -6,9 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fusebench.datasets import (
-    Label,
     ScoreDataset,
-    ScoreTuple,
     SyntheticSpec,
     dataset_to_csv,
     generate_synthetic,
@@ -45,6 +43,11 @@ class TestLoadDataset:
         path = write(tmp_path, "face,voice,label\n0.9,0.8,genuine\n0.1,0.2,impostor\n")
         ds = load_dataset(path, 2)
         assert ds.genuine_count == 1
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = write(tmp_path, "\ufeff0.9,0.8,genuine\n0.5,0.5,genuine\n0.1,0.2,impostor\n")
+        ds = load_dataset(path, 2)
+        np.testing.assert_array_equal(ds.genuine, [[0.9, 0.8], [0.5, 0.5]])
 
     def test_numeric_first_line_is_data(self, tmp_path):
         path = write(tmp_path, "0.9,0.8,genuine\n0.5,0.5,genuine\n0.1,0.2,impostor\n")
@@ -228,16 +231,12 @@ class TestSynthetic:
             SyntheticSpec(2, (1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),
                           genuine_count=5, impostor_count=5, seed=0)
 
-    def test_spec_dict_round_trip(self):
-        spec = SyntheticSpec(2, (1.0, 2.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0),
-                             genuine_count=5, impostor_count=5, seed=3)
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestTypes:
-    def test_score_tuple_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            ScoreTuple((0.5, float("nan")), Label.GENUINE)
+    def test_dataset_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="non-finite"):
+                ScoreDataset(2, [[0.5, bad]], [[0.1, 0.1]])
 
     def test_dataset_needs_two_modalities(self):
         with pytest.raises(ValidationError, match="two modalities"):
@@ -260,9 +259,3 @@ class TestTypes:
         ds = ScoreDataset(2, source, [[0.1, 0.1]])
         source[0, 0] = 99.0
         assert ds.genuine[0, 0] == 0.5
-
-    def test_tuple_accessors(self, tiny_dataset):
-        tuples = tiny_dataset.genuine_tuples()
-        assert len(tuples) == 4
-        assert tuples[0] == ScoreTuple((0.9, 0.8), Label.GENUINE)
-        assert tiny_dataset.impostor_tuples()[0].label is Label.IMPOSTOR

@@ -416,6 +416,20 @@ class TestCliEvalTree:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_over_deep_sexpr_is_a_data_error(self, score_csv, gp_run, tmp_path, capsys):
+        out, _ = gp_run
+        deep = tmp_path / "deep.txt"
+        deep.write_text("(add (var 0) " * 3000 + "(var 1)" + ")" * 3000 + "\n")
+        code = main([
+            "eval-tree", "--tree", str(deep),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nests deeper than" in err
+        assert "Traceback" not in err
+
     def test_tree_referencing_a_missing_modality_is_a_data_error(
         self, score_csv, gp_run, tmp_path, capsys
     ):

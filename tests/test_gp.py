@@ -20,14 +20,14 @@ from fusebench.gp import (
 )
 from fusebench.metrics import FusedScores, sweep_roc
 from fusebench.trees import (
+    MAX_TREE_DEPTH,
     Const,
     ExpressionTree,
     Func,
     Var,
-    evaluate_tuple,
-    iter_nodes,
     parse_sexpr,
 )
+from oracles import naive_eval, naive_preorder
 
 
 class ScriptedRng:
@@ -116,6 +116,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             EvolutionConfig(seed=1, **overrides)
 
+    def test_max_depth_is_bounded_by_the_parser(self):
+        assert small_config(max_depth=MAX_TREE_DEPTH).max_depth == MAX_TREE_DEPTH
+        with pytest.raises(ValidationError, match="max_depth"):
+            small_config(max_depth=MAX_TREE_DEPTH + 1)
+
     def test_tournament_p_of_one_is_allowed(self):
         assert EvolutionConfig(seed=1, tournament_p=1.0).tournament_p == 1.0
 
@@ -147,7 +152,7 @@ class TestInitialization:
         cfg = small_config(population_size=4, init_depth_min=3, init_depth_max=3)
         terminals = terminal_set(2, cfg.n_constants)
         tree = ramped_half_and_half(cfg, terminals, np.random.default_rng(9))[0]
-        for node, depth in iter_nodes(tree.root):
+        for node, depth in naive_preorder(tree.root):
             if isinstance(node, Func):
                 assert depth < 3
             else:
@@ -165,10 +170,10 @@ class TestFitness:
     def test_eval_population_matches_per_tuple_loop(self, tiny_dataset):
         tree = parse_sexpr("(avg (var 0) (mul (var 1) (const 0.75)))")
         fs = eval_population(tree, tiny_dataset)
-        for row, fused in zip(tiny_dataset.genuine, fs.genuine):
-            assert evaluate_tuple(tree, row) == fused
-        for row, fused in zip(tiny_dataset.impostor, fs.impostor):
-            assert evaluate_tuple(tree, row) == fused
+        for row, fused in zip(tiny_dataset.genuine.tolist(), fs.genuine):
+            assert naive_eval(tree.root, row) == fused
+        for row, fused in zip(tiny_dataset.impostor.tolist(), fs.impostor):
+            assert naive_eval(tree.root, row) == fused
 
     def test_separating_tree_scores_zero(self, tiny_dataset):
         assert fitness(parse_sexpr("(add (var 0) (var 1))"), tiny_dataset) == 0.0
@@ -387,7 +392,7 @@ class TestEvolve:
         assert len(first.history) == len(second.history)
         for a, b in zip(first.history, second.history):
             assert (a.best, a.worst, a.mean, a.std) == (b.best, b.worst, b.mean, b.std)
-            assert a.best_tree == b.best_tree
+            assert a.best_individual == b.best_individual
 
     def test_different_seeds_usually_diverge(self, make_gaussian):
         ds = make_gaussian(seed=4, modalities=2, genuine=50, impostor=100)

@@ -10,7 +10,6 @@ from fusebench.errors import DegenerateModalityError, ValidationError
 from fusebench.normalization import (
     TanhNormalizer,
     fit_tanh_normalizer,
-    normalize,
     normalizer_from_json,
     normalizer_to_json,
 )
@@ -78,10 +77,13 @@ class TestMapping:
                                    atol=1e-15)
 
     def test_scalar_normalize_matches_matrix(self):
+        """One score mapped alone, by a one-modality normalizer, matches its
+        cell of the wide transform."""
         norm = TanhNormalizer((2.0, -1.0), (3.0, 0.5))
-        for m, score in ((0, 4.7), (1, -3.3)):
-            expected = norm.transform_matrix([[score, score]])[0, m]
-            assert normalize(score, m, norm) == expected
+        both = norm.transform_matrix([[4.7, -3.3]])
+        alone = [TanhNormalizer((2.0,), (3.0,)).transform_matrix([[4.7]]),
+                 TanhNormalizer((-1.0,), (0.5,)).transform_matrix([[-3.3]])]
+        assert [a[0, 0] for a in alone] == both[0].tolist()
 
     def test_range_open_unit_interval(self):
         norm = TanhNormalizer((0.0,), (1.0,))
@@ -105,7 +107,7 @@ class TestMapping:
     def test_modality_index_out_of_range(self):
         norm = TanhNormalizer((0.0,), (1.0,))
         with pytest.raises(ValidationError):
-            normalize(1.0, 1, norm)
+            norm.transform_matrix([[1.0, 1.0]])
 
 
 class TestTransformDataset:

@@ -10,6 +10,7 @@ from fusebench.gp import EvolutionConfig, ramped_half_and_half, terminal_set
 from fusebench.trees import (
     DIV_EPSILON,
     FUNCTION_OPS,
+    MAX_TREE_DEPTH,
     VALUE_CLAMP,
     Const,
     ExpressionTree,
@@ -17,20 +18,26 @@ from fusebench.trees import (
     Var,
     count_nodes,
     evaluate_matrix,
-    evaluate_tuple,
-    iter_nodes,
-    max_var_index,
-    node_depth,
+    node_at,
     parse_sexpr,
     replace_at,
-    subtree_at,
     tree_to_sexpr,
 )
-from oracles import naive_eval
+from oracles import naive_depth, naive_eval, naive_max_var, naive_preorder, naive_size
 
 
 def tree(text: str) -> ExpressionTree:
     return parse_sexpr(text)
+
+
+def fused(text: str, rows) -> list[float]:
+    """Fused score of every row of a small score matrix."""
+    return evaluate_matrix(tree(text), np.array(rows, dtype=np.float64)).tolist()
+
+
+def nested_adds(depth: int) -> str:
+    """A tree of exactly ``depth`` levels below its root."""
+    return "(add (var 0) " * depth + "(var 1)" + ")" * depth
 
 
 def random_trees(seed, count, modalities=3):
@@ -48,16 +55,15 @@ def random_trees(seed, count, modalities=3):
 
 class TestEvaluation:
     def test_addition(self):
-        assert evaluate_tuple(tree("(add (var 0) (var 1))"), (0.2, 0.3)) == 0.5
+        assert fused("(add (var 0) (var 1))", [(0.2, 0.3)]) == [0.5]
 
     def test_subtraction_and_product(self):
-        assert evaluate_tuple(tree("(sub (var 0) (const 0.25))"), (0.75, 0.0)) == 0.5
-        assert evaluate_tuple(tree("(mul (var 0) (var 1))"), (0.5, 0.5)) == 0.25
+        assert fused("(sub (var 0) (const 0.25))", [(0.75, 0.0)]) == [0.5]
+        assert fused("(mul (var 0) (var 1))", [(0.5, 0.5)]) == [0.25]
 
     def test_order_statistics_compose(self):
-        averaged = tree("(avg (max (var 0) (var 1)) (min (var 0) (var 1)))")
-        assert evaluate_tuple(averaged, (0.2, 0.8)) == 0.5
-        assert evaluate_tuple(averaged, (0.8, 0.2)) == 0.5
+        averaged = "(avg (max (var 0) (var 1)) (min (var 0) (var 1)))"
+        assert fused(averaged, [(0.2, 0.8), (0.8, 0.2)]) == [0.5, 0.5]
 
     def test_constant_ignores_inputs(self):
         out = evaluate_matrix(tree("(add (const 0.1) (const 0.2))"), np.zeros((4, 2)))
@@ -65,12 +71,14 @@ class TestEvaluation:
         assert np.all(out == 0.1 + 0.2)
 
     def test_matrix_and_tuple_paths_agree(self):
+        """One tuple fused alone, as a one-row matrix, matches its row of
+        the whole matrix."""
         rng = np.random.default_rng(8)
         matrix = rng.normal(size=(16, 3))
         for t in random_trees(9, 10):
-            fused = evaluate_matrix(t, matrix)
-            for row, expected in zip(matrix, fused):
-                assert evaluate_tuple(t, row) == expected
+            whole = evaluate_matrix(t, matrix)
+            for i, expected in enumerate(whole):
+                assert evaluate_matrix(t, matrix[i:i + 1])[0] == expected
 
     def test_modality_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="modality 2"):
@@ -82,35 +90,31 @@ class TestEvaluation:
 
 
 class TestProtectedDivision:
-    quotient = None
-
-    def setup_method(self):
-        self.quotient = tree("(div (var 0) (var 1))")
+    quotient = "(div (var 0) (var 1))"
 
     def test_zero_denominator_yields_one(self):
-        assert evaluate_tuple(self.quotient, (3.0, 0.0)) == 1.0
-        assert evaluate_tuple(self.quotient, (0.0, 0.0)) == 1.0
+        assert fused(self.quotient, [(3.0, 0.0), (0.0, 0.0)]) == [1.0, 1.0]
 
     def test_epsilon_is_the_cutoff(self):
         # at |denominator| == 1e-12 the division still happens
-        assert evaluate_tuple(self.quotient, (3.0, DIV_EPSILON)) == 3.0 / DIV_EPSILON
-        assert evaluate_tuple(self.quotient, (3.0, -DIV_EPSILON)) == -3.0 / DIV_EPSILON
-        assert evaluate_tuple(self.quotient, (3.0, DIV_EPSILON * 0.99)) == 1.0
-        assert evaluate_tuple(self.quotient, (3.0, -DIV_EPSILON * 0.99)) == 1.0
+        rows = [(3.0, DIV_EPSILON), (3.0, -DIV_EPSILON),
+                (3.0, DIV_EPSILON * 0.99), (3.0, -DIV_EPSILON * 0.99)]
+        assert fused(self.quotient, rows) == [
+            3.0 / DIV_EPSILON, -3.0 / DIV_EPSILON, 1.0, 1.0,
+        ]
 
     def test_self_division_of_zero_spread(self):
-        spread = tree("(div (sub (var 0) (var 1)) (sub (var 0) (var 1)))")
-        assert evaluate_tuple(spread, (0.7, 0.7)) == 1.0
+        spread = "(div (sub (var 0) (var 1)) (sub (var 0) (var 1)))"
+        assert fused(spread, [(0.7, 0.7)]) == [1.0]
 
 
 class TestClamping:
     def test_products_cap_at_the_clamp(self):
-        assert evaluate_tuple(tree("(mul (const 1e60) (const 1e60))"), (0.0, 0.0)) == VALUE_CLAMP
-        assert evaluate_tuple(tree("(mul (const -1e60) (const 1e60))"), (0.0, 0.0)) == -VALUE_CLAMP
+        assert fused("(mul (const 1e60) (const 1e60))", [(0.0, 0.0)]) == [VALUE_CLAMP]
+        assert fused("(mul (const -1e60) (const 1e60))", [(0.0, 0.0)]) == [-VALUE_CLAMP]
 
     def test_inputs_beyond_the_clamp_are_pulled_in(self):
-        grown = tree("(add (var 0) (const 0.0))")
-        assert evaluate_tuple(grown, (1e200, 0.0)) == VALUE_CLAMP
+        assert fused("(add (var 0) (const 0.0))", [(1e200, 0.0)]) == [VALUE_CLAMP]
 
     def test_everything_stays_finite_on_extreme_inputs(self):
         rng = np.random.default_rng(4)
@@ -137,35 +141,37 @@ class TestStructure:
         self.sample = Func("add", Var(0), Func("mul", Var(1), Const(0.5)))
 
     def test_counts_and_depth(self):
-        assert count_nodes(self.sample) == 5
-        assert node_depth(self.sample) == 2
-        assert node_depth(Var(0)) == 0
-        assert node_depth(Const(1.0)) == 0
+        assert count_nodes(self.sample) == self.sample.size == 5
+        assert self.sample.depth == 2
+        assert Var(0).size == Const(1.0).size == 1
+        assert Var(0).depth == Const(1.0).depth == 0
 
     def test_preorder_traversal(self):
-        nodes = list(iter_nodes(self.sample))
+        nodes = [node_at(self.sample, i) for i in range(5)]
         assert [depth for _, depth in nodes] == [0, 1, 1, 2, 2]
         assert [type(n).__name__ for n, _ in nodes] == [
             "Func", "Var", "Func", "Var", "Const",
         ]
 
     def test_subtree_lookup(self):
-        assert subtree_at(self.sample, 0) is self.sample
-        assert subtree_at(self.sample, 1) == Var(0)
-        assert subtree_at(self.sample, 4) == Const(0.5)
-        with pytest.raises(ValidationError):
-            subtree_at(self.sample, 5)
+        assert node_at(self.sample, 0)[0] is self.sample
+        assert node_at(self.sample, 1)[0] == Var(0)
+        assert node_at(self.sample, 4)[0] == Const(0.5)
+        for out_of_range in (5, -1):
+            with pytest.raises(ValidationError):
+                node_at(self.sample, out_of_range)
 
     def test_replace_round_trip_is_identity(self):
         for i in range(count_nodes(self.sample)):
-            rebuilt = replace_at(self.sample, i, subtree_at(self.sample, i))
+            rebuilt = replace_at(self.sample, i, node_at(self.sample, i)[0])
             assert rebuilt == self.sample
 
     def test_replace_swaps_exactly_one_slot(self):
         patched = replace_at(self.sample, 3, Const(9.0))
         assert patched == Func("add", Var(0), Func("mul", Const(9.0), Const(0.5)))
+        assert (patched.size, patched.depth, patched.max_var) == (5, 2, 0)
         # the source tree is a frozen value and must be unaffected
-        assert subtree_at(self.sample, 3) == Var(1)
+        assert node_at(self.sample, 3)[0] == Var(1)
 
     def test_replace_at_root_returns_replacement(self):
         assert replace_at(self.sample, 0, Var(2)) == Var(2)
@@ -175,9 +181,9 @@ class TestStructure:
             replace_at(self.sample, 99, Var(0))
 
     def test_max_var_index(self):
-        assert max_var_index(self.sample) == 1
-        assert max_var_index(Func("add", Const(1.0), Const(2.0))) == -1
-        assert max_var_index(Var(7)) == 7
+        assert self.sample.max_var == 1
+        assert Func("add", Const(1.0), Const(2.0)).max_var == -1
+        assert Var(7).max_var == 7
 
     def test_terminal_validation(self):
         with pytest.raises(ValidationError):
@@ -193,8 +199,7 @@ class TestExpressionTree:
 
     def test_depth_is_derived_from_the_root(self):
         root = Func("add", Var(0), Func("mul", Var(1), Var(0)))
-        assert ExpressionTree(root).depth == 2
-        assert ExpressionTree(root, depth=99).depth == 2
+        assert ExpressionTree(root).depth == root.depth == 2
 
     def test_str_is_the_sexpr(self):
         t = ExpressionTree(Func("min", Var(0), Const(0.5)))
@@ -211,6 +216,20 @@ any_node = st.deferred(
 )
 function_nodes = st.builds(Func, st.sampled_from(FUNCTION_OPS), any_node, any_node)
 
+
+class TestCachedShape:
+    @given(node=any_node)
+    def test_fields_match_the_recursive_walkers(self, node):
+        assert node.size == naive_size(node)
+        assert node.depth == naive_depth(node)
+        assert node.max_var == naive_max_var(node)
+
+    @given(node=any_node)
+    def test_node_at_matches_preorder(self, node):
+        for i, (subtree, depth) in enumerate(naive_preorder(node)):
+            found, found_depth = node_at(node, i)
+            assert found is subtree
+            assert found_depth == depth
 
 class TestSexpr:
     def test_hand_round_trip(self):
@@ -251,11 +270,19 @@ class TestSexpr:
             "(add var 0 (var 1))",
             "(add)",
             "(var)",
+            pytest.param(nested_adds(3000), id="nested-3000-deep"),
         ],
     )
     def test_malformed_input(self, text):
         with pytest.raises(SexprError):
             parse_sexpr(text)
+
+    def test_nesting_bound(self):
+        deepest = parse_sexpr(nested_adds(MAX_TREE_DEPTH))
+        assert deepest.depth == MAX_TREE_DEPTH
+        assert parse_sexpr(tree_to_sexpr(deepest)) == deepest
+        with pytest.raises(SexprError, match="deeper than"):
+            parse_sexpr(nested_adds(MAX_TREE_DEPTH + 1))
 
     def test_negative_variable_index_fails_validation(self):
         with pytest.raises(ValidationError):
