@@ -7,10 +7,8 @@ EER, HTER, ROC, AUC).
 """
 
 from .baselines import (
-    FusionRule,
     GaConfig,
     MethodEvaluation,
-    WeightVector,
     evaluate_baselines,
     ga_tune_weights,
     geometric_selection_probs,
@@ -66,7 +64,6 @@ __all__ = [
     "Func",
     "FusebenchError",
     "FusedScores",
-    "FusionRule",
     "GaConfig",
     "GenerationStats",
     "MethodEvaluation",
@@ -80,7 +77,6 @@ __all__ = [
     "UndefinedGainError",
     "ValidationError",
     "Var",
-    "WeightVector",
     "auc",
     "eval_population",
     "evaluate_baselines",

@@ -3,7 +3,9 @@
 These are the comparison bar for the evolved trees: the fixed sum, min and
 product rules, per-modality single-matcher projections, and a weighted sum
 whose weights a real-coded genetic algorithm tunes to minimize training
-EER.  All rules consume normalized score matrices.
+EER.  Every method is a row-wise fusion of a normalized score matrix into
+one fused score per row, and :func:`fuse_classes` applies one to both
+classes of a dataset.
 
 The weighted sum is computed as ``(scores * w).sum(axis=1)`` so that the
 all-ones weight vector reproduces the plain sum rule bit-for-bit (same
@@ -14,8 +16,8 @@ training set.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,28 +30,7 @@ WEIGHT_LO = -10.0
 WEIGHT_HI = 10.0
 
 
-class FusionRule(enum.Enum):
-    SUM = "sum"
-    MIN = "min"
-    MUL = "mul"
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-modality weights, confined to the GA chromosome interval."""
-
-    weights: tuple[float, ...]
-    lo: float = WEIGHT_LO
-    hi: float = WEIGHT_HI
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights:
-            raise ValidationError("weight vector cannot be empty")
-        if any(not self.lo <= w <= self.hi for w in self.weights):
-            raise ValidationError(
-                f"weights {self.weights} leave the interval [{self.lo}, {self.hi}]"
-            )
+FIXED_RULES = {"sum": np.sum, "min": np.min, "mul": np.prod}
 
 
 @dataclass(frozen=True)
@@ -109,51 +90,34 @@ class MethodEvaluation:
 @dataclass(frozen=True)
 class BaselineReport:
     results: tuple[MethodEvaluation, ...]
-    tuned_weights: "WeightVector | None"
+    tuned_weights: "tuple[float, ...] | None"
     ga_history: "tuple[GenerationStats, ...] | None"
 
 
-def fuse_rule_matrix(rule: FusionRule, scores) -> np.ndarray:
-    """Apply a fixed rule to every row of an (n, modalities) matrix."""
+def fuse_rule_matrix(rule: str, scores) -> np.ndarray:
+    """Apply the fixed rule named ``rule`` to every row of an (n, m) matrix."""
+    if rule not in FIXED_RULES:
+        raise ValidationError(f"unknown rule {rule!r}; choose from {list(FIXED_RULES)}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] == 0:
         raise ValidationError(f"expected a non-empty 2-D matrix, got {scores.shape}")
-    if rule is FusionRule.SUM:
-        return scores.sum(axis=1)
-    if rule is FusionRule.MIN:
-        return scores.min(axis=1)
-    return scores.prod(axis=1)
+    return FIXED_RULES[rule](scores, axis=1)
 
 
 def fuse_weighted_matrix(weights, scores) -> np.ndarray:
     """Weighted sum per row; all-ones weights reproduce the sum rule exactly."""
-    w = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != w.size:
+    if scores.ndim != 2 or w.shape != (scores.shape[1],):
         raise ValidationError(
             f"weight length {w.size} does not match matrix shape {scores.shape}"
         )
     return (scores * w).sum(axis=1)
 
 
-def rule_scores(rule: FusionRule, ds: ScoreDataset) -> FusedScores:
-    return FusedScores(
-        fuse_rule_matrix(rule, ds.genuine), fuse_rule_matrix(rule, ds.impostor)
-    )
-
-
-def weighted_scores(weights, ds: ScoreDataset) -> FusedScores:
-    return FusedScores(
-        fuse_weighted_matrix(weights, ds.genuine),
-        fuse_weighted_matrix(weights, ds.impostor),
-    )
-
-
-def single_modality_scores(m: int, ds: ScoreDataset) -> FusedScores:
-    """Projection onto one modality: the no-fusion reference point."""
-    if not 0 <= m < ds.modality_count:
-        raise ValidationError(f"modality {m} out of range")
-    return FusedScores(ds.genuine[:, m], ds.impostor[:, m])
+def fuse_classes(fuse, ds: ScoreDataset) -> FusedScores:
+    """Apply a row-wise fusion ``matrix -> vector`` to both classes of ``ds``."""
+    return FusedScores(fuse(ds.genuine), fuse(ds.impostor))
 
 
 def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
@@ -170,9 +134,8 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
     return q_norm * (1.0 - q) ** np.arange(population_size, dtype=np.float64)
 
 
-def _weighted_eer(w: np.ndarray, genuine: np.ndarray, impostor: np.ndarray) -> float:
-    fused = FusedScores((genuine * w).sum(axis=1), (impostor * w).sum(axis=1))
-    return sweep_roc(fused).eer
+def _weighted_eer(w: np.ndarray, train: ScoreDataset) -> float:
+    return sweep_roc(fuse_classes(partial(fuse_weighted_matrix, w), train)).eer
 
 
 def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
@@ -185,7 +148,7 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
     (elitism), and chromosome 0 of the initial population is the equal-weight
     vector, so the tuned training EER never exceeds the sum rule's.
 
-    Returns (best weights ever seen, per-generation statistics).
+    Returns (best weights ever seen as a tuple, per-generation statistics).
     """
     lo_score = min(train.genuine.min(), train.impostor.min())
     hi_score = max(train.genuine.max(), train.impostor.max())
@@ -197,14 +160,14 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
     pop = rng.uniform(cfg.weight_lo, cfg.weight_hi, size=(cfg.population_size, n))
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
-    fits = np.array([_weighted_eer(w, train.genuine, train.impostor) for w in pop])
+    fits = np.array([_weighted_eer(w, train) for w in pop])
 
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
     last = cfg.population_size - 1
 
     history = [population_stats(0, pop, fits)]
     best_fit = history[0].best
-    best_w = np.array(history[0].best_individual)
+    best_w = history[0].best_individual
 
     for generation in range(1, cfg.generations + 1):
         order = np.argsort(fits, kind="stable")
@@ -234,17 +197,16 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
                     resample, rng.uniform(cfg.weight_lo, cfg.weight_hi, n), child
                 )
             new_pop[slot] = child
-            new_fits[slot] = _weighted_eer(child, train.genuine, train.impostor)
+            new_fits[slot] = _weighted_eer(child, train)
 
         pop, fits = new_pop, new_fits
         stats = population_stats(generation, pop, fits)
         history.append(stats)
         if stats.best < best_fit:
             best_fit = stats.best
-            best_w = np.array(stats.best_individual)
+            best_w = stats.best_individual
 
-    weights = WeightVector(tuple(best_w.tolist()), lo=cfg.weight_lo, hi=cfg.weight_hi)
-    return weights, tuple(history)
+    return best_w, tuple(history)
 
 
 def evaluate_fused_method(method: str, train_fs: FusedScores,
@@ -267,38 +229,24 @@ def evaluate_fused_method(method: str, train_fs: FusedScores,
 
 def evaluate_baselines(
     split: SplitPair, *, ga_config: GaConfig | None = None,
-    rules=(FusionRule.SUM, FusionRule.MIN, FusionRule.MUL),
+    rules=tuple(FIXED_RULES),
 ) -> BaselineReport:
     """Evaluate every baseline on an already-normalized split.
 
-    Emits one row per single modality (s1..sn), one per fixed rule, and,
-    when ``ga_config`` is given, the GA-tuned weighted sum.
+    Emits one row per single modality (s1..sn), one per fixed rule named in
+    ``rules``, and, when ``ga_config`` is given, the GA-tuned weighted sum.
     """
-    results = [
-        evaluate_fused_method(
-            f"s{m + 1}",
-            single_modality_scores(m, split.train),
-            single_modality_scores(m, split.validation),
-        )
-        for m in range(split.train.modality_count)
-    ]
-    for rule in rules:
-        results.append(
-            evaluate_fused_method(
-                rule.value,
-                rule_scores(rule, split.train),
-                rule_scores(rule, split.validation),
-            )
-        )
-    tuned = None
-    ga_history = None
+    fusions = [(f"s{m + 1}", lambda scores, m=m: scores[:, m])
+               for m in range(split.train.modality_count)]
+    fusions += [(rule, partial(fuse_rule_matrix, rule)) for rule in rules]
+    tuned = ga_history = None
     if ga_config is not None:
         tuned, ga_history = ga_tune_weights(split.train, ga_config)
-        results.append(
-            evaluate_fused_method(
-                "weight",
-                weighted_scores(tuned, split.train),
-                weighted_scores(tuned, split.validation),
-            )
+        fusions.append(("weight", partial(fuse_weighted_matrix, tuned)))
+    results = tuple(
+        evaluate_fused_method(
+            name, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation)
         )
-    return BaselineReport(tuple(results), tuned, ga_history)
+        for name, fuse in fusions
+    )
+    return BaselineReport(results, tuned, ga_history)

@@ -26,7 +26,7 @@ from .datasets import (
     save_dataset,
     split_dataset,
 )
-from .errors import FusebenchError
+from .errors import FusebenchError, ValidationError
 from .experiment import (
     FUSION_METHODS,
     GA_PRESETS,
@@ -137,13 +137,10 @@ def _load_or_usage_error(path, modalities, negate):
 
 
 def cmd_run(args) -> int:
-    tokens = [t.strip() for t in args.methods.split(",") if t.strip()]
-    unknown = [t for t in tokens if t not in FUSION_METHODS]
-    if unknown:
-        raise UsageError(
-            f"unknown method(s) {unknown}; choose from {list(FUSION_METHODS)}"
-        )
-    methods = select_methods(tokens)
+    try:
+        methods = select_methods(t.strip() for t in args.methods.split(",") if t.strip())
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
     negate = _check_negations(args.negate_modality, args.modalities)
     if args.gp_generations is not None and args.gp_generations < 1:
         raise UsageError("--gp-generations must be >= 1")
@@ -223,8 +220,8 @@ def cmd_gen_synth(args) -> int:
 def cmd_eval_tree(args) -> int:
     negate = _check_negations(args.negate_modality, args.modalities)
     try:
-        tree_text = Path(args.tree).read_text(encoding="utf-8")
-        params_text = Path(args.params).read_text(encoding="utf-8")
+        tree_text = Path(args.tree).read_text(encoding="utf-8", errors="surrogateescape")
+        params_text = Path(args.params).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise UsageError(f"cannot read input: {exc}") from None
     tree = parse_sexpr(tree_text)

@@ -165,8 +165,8 @@ def load_dataset(path, modality_count: int, *,
     ``negate_modalities`` lists 0-based modality indices whose scores are
     multiplied by -1 at ingestion (for distance-style matchers).
 
-    Raises :class:`ScoreFileError` for malformed rows (with line number) and
-    :class:`ValidationError` if either class ends up empty.
+    Raises :class:`ScoreFileError` for malformed rows or non-UTF-8 bytes (with
+    line number) and :class:`ValidationError` if either class ends up empty.
     """
     path = Path(path)
     negate = sorted(set(int(i) for i in negate_modalities))
@@ -176,14 +176,19 @@ def load_dataset(path, modality_count: int, *,
         )
     genuine_rows: list[list[float]] = []
     impostor_rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if line_no == 1 and not _looks_numeric(row[0]):
-                continue  # optional header
-            scores, label = _parse_row(path, line_no, row, modality_count)
-            (genuine_rows if label == "genuine" else impostor_rows).append(scores)
+    # undecodable bytes become lone surrogates, which the row checks reject
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if line_no == 1 and not _looks_numeric(row[0]):
+                    continue  # optional header
+                scores, label = _parse_row(path, line_no, row, modality_count)
+                (genuine_rows if label == "genuine" else impostor_rows).append(scores)
+        except csv.Error as exc:
+            raise ScoreFileError(path, reader.line_num, f"malformed CSV: {exc}") from None
     for what, rows in (("genuine", genuine_rows), ("impostor", impostor_rows)):
         if not rows:
             raise ValidationError(f"{path}: score file contains no {what} rows")

@@ -22,14 +22,15 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .baselines import (
+    FIXED_RULES,
     BaselineReport,
-    FusionRule,
     GaConfig,
     MethodEvaluation,
     evaluate_baselines,
@@ -44,12 +45,9 @@ from .trees import tree_to_sexpr
 
 FUSION_METHODS = ("sum", "min", "mul", "weight", "gp")
 GA_PRESETS = ("desk", "paper")
-
-_RULES = {
-    "sum": FusionRule.SUM,
-    "min": FusionRule.MIN,
-    "mul": FusionRule.MUL,
-}
+# the names of every file run_experiment can emit (see write_artifacts)
+ARTIFACT_PATTERNS = ("report.json", "normalization.json", "roc_*.csv",
+                     "gp_*.csv", "gp_*.txt")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +126,7 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     baseline = evaluate_baselines(
         normalized,
         ga_config=ga_config if "weight" in methods else None,
-        rules=tuple(_RULES[m] for m in methods if m in _RULES),
+        rules=tuple(m for m in methods if m in FIXED_RULES),
     )
     rows = list(baseline.results)
 
@@ -147,7 +145,7 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     for row in rows:
         entry = _row_dict(row)
         if row.method == "weight":
-            entry["weights"] = list(baseline.tuned_weights.weights)
+            entry["weights"] = list(baseline.tuned_weights)
         if row.method == "gp":
             entry["tree"] = tree_to_sexpr(gp_result.best_tree)
             entry["train_best_fitness"] = float(gp_result.best_fitness)
@@ -205,7 +203,9 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
 
 def write_artifacts(artifacts: Mapping, out_dir) -> list:
     """Write artifact texts into ``out_dir`` atomically (temp then rename),
-    so an interrupted run never leaves a truncated file."""
+    so an interrupted run never leaves a truncated file.  Then delete the
+    files named like artifacts (``ARTIFACT_PATTERNS``) that this run did not
+    write; every other file in ``out_dir`` stays."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -221,4 +221,8 @@ def write_artifacts(artifacts: Mapping, out_dir) -> list:
                 os.unlink(tmp_path)
             raise
         written.append(target)
+    for stale in out_dir.iterdir():
+        if (stale.name not in artifacts and stale.is_file()
+                and any(fnmatchcase(stale.name, p) for p in ARTIFACT_PATTERNS)):
+            stale.unlink()
     return written

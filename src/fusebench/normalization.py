@@ -18,6 +18,8 @@ statistics.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,16 @@ class TanhNormalizer:
     stddevs: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("means", "stddevs"):
+            values = getattr(self, name)
+            try:
+                floats = tuple(float(v) for v in values
+                               if isinstance(v, numbers.Real) and not isinstance(v, bool))
+            except OverflowError:  # an integer too large for a float
+                floats = ()
+            if len(floats) != len(values) or not all(map(math.isfinite, floats)):
+                raise ValidationError(f"{name} must be finite numbers, got {values!r:.80}")
+            object.__setattr__(self, name, floats)
         if len(self.means) != len(self.stddevs) or not self.means:
             raise ValidationError("means and stddevs must be equal-length, non-empty")
         for m, s in enumerate(self.stddevs):
@@ -95,7 +107,7 @@ def normalizer_from_json(text: str) -> TanhNormalizer:
     try:
         payload = json.loads(text)
         norm = TanhNormalizer(tuple(payload["means"]), tuple(payload["stddevs"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"bad normalization params document: {exc}") from None
     declared = payload.get("modalities", norm.modality_count)
     if declared != norm.modality_count:

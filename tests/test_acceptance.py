@@ -7,17 +7,17 @@ checks a release must clear; the unit suites cover the finer behavior.
 
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fusebench.baselines import (
-    FusionRule,
     GaConfig,
+    fuse_classes,
+    fuse_rule_matrix,
+    fuse_weighted_matrix,
     ga_tune_weights,
-    rule_scores,
-    single_modality_scores,
-    weighted_scores,
 )
 from fusebench.datasets import (
     SplitPair,
@@ -231,17 +231,17 @@ def test_criterion_5_evolved_trees_beat_singles_and_track_the_sum_rule():
             genuine_means=means,
         )
         for m, target in enumerate(targets):
-            observed = exact_eer(single_modality_scores(m, ds))
+            observed = exact_eer(fuse_classes(lambda x, m=m: x[:, m], ds))
             assert abs(observed - target) <= 0.05, (
                 f"fixture drifted: modality {m} EER {observed:.3f} vs {target}"
             )
 
         normalized = normalized_split(ds)
         single_vals = [
-            sweep_roc(single_modality_scores(m, normalized.validation)).eer
+            sweep_roc(fuse_classes(lambda x, m=m: x[:, m], normalized.validation)).eer
             for m in range(4)
         ]
-        sum_val = sweep_roc(rule_scores(FusionRule.SUM, normalized.validation)).eer
+        sum_val = sweep_roc(fuse_classes(partial(fuse_rule_matrix, "sum"), normalized.validation)).eer
 
         cfg = EvolutionConfig(seed=seed, population_size=300, max_generations=25)
         result = evolve(normalized.train, cfg)
@@ -273,8 +273,8 @@ def test_criterion_6_tuned_weights_never_lose_to_equal_weights():
         )
         train = normalized_split(ds).train
         tuned, _ = ga_tune_weights(train, GaConfig.desk_scale(seed))
-        tuned_eer = sweep_roc(weighted_scores(tuned, train)).eer
-        sum_eer = sweep_roc(rule_scores(FusionRule.SUM, train)).eer
+        tuned_eer = sweep_roc(fuse_classes(partial(fuse_weighted_matrix, tuned), train)).eer
+        sum_eer = sweep_roc(fuse_classes(partial(fuse_rule_matrix, "sum"), train)).eer
         worst_excess = max(worst_excess, tuned_eer - sum_eer)
     report_line(
         6,

@@ -1,21 +1,20 @@
 """Fixed fusion rules, weighted sums, GA weight tuning, baseline protocol."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from fusebench.baselines import (
-    FusionRule,
+    FIXED_RULES,
     GaConfig,
-    WeightVector,
     evaluate_baselines,
     evaluate_fused_method,
+    fuse_classes,
     fuse_rule_matrix,
     fuse_weighted_matrix,
     ga_tune_weights,
     geometric_selection_probs,
-    rule_scores,
-    single_modality_scores,
-    weighted_scores,
 )
 from fusebench.datasets import ScoreDataset, SplitPair, split_dataset
 from fusebench.errors import ValidationError
@@ -27,6 +26,14 @@ def tiny_ga_config(**overrides):
     base = dict(seed=13, population_size=30, generations=8)
     base.update(overrides)
     return GaConfig(**base)
+
+
+def sum_scores(ds):
+    return fuse_classes(partial(fuse_rule_matrix, "sum"), ds)
+
+
+def weighted_scores(weights, ds):
+    return fuse_classes(partial(fuse_weighted_matrix, weights), ds)
 
 
 def normalized_split(ds) -> SplitPair:
@@ -43,33 +50,38 @@ class TestFixedRules:
 
     def test_sum(self):
         assert np.array_equal(
-            fuse_rule_matrix(FusionRule.SUM, self.matrix), [1.0, 1.0]
+            fuse_rule_matrix("sum", self.matrix), [1.0, 1.0]
         )
 
     def test_min(self):
         assert np.array_equal(
-            fuse_rule_matrix(FusionRule.MIN, self.matrix), [0.2, 0.5]
+            fuse_rule_matrix("min", self.matrix), [0.2, 0.5]
         )
 
     def test_mul(self):
         assert np.array_equal(
-            fuse_rule_matrix(FusionRule.MUL, self.matrix), [0.2 * 0.8, 0.25]
+            fuse_rule_matrix("mul", self.matrix), [0.2 * 0.8, 0.25]
         )
 
     def test_scalar_path_matches_matrix_path(self):
         """One tuple fused alone, as a one-row matrix, matches its row of
         the whole matrix."""
-        for rule in FusionRule:
+        for rule in FIXED_RULES:
             whole = fuse_rule_matrix(rule, self.matrix)
             for i, expected in enumerate(whole):
                 assert fuse_rule_matrix(rule, self.matrix[i:i + 1])[0] == expected
 
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValidationError):
-            fuse_rule_matrix(FusionRule.SUM, np.zeros((2, 0)))
+            fuse_rule_matrix("sum", np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("rule", ["prod", "SUM", None])
+    def test_rejects_unknown_rule_names(self, rule):
+        with pytest.raises(ValidationError, match="unknown rule"):
+            fuse_rule_matrix(rule, self.matrix)
 
     def test_rule_scores_keeps_class_separation(self, tiny_dataset):
-        fs = rule_scores(FusionRule.SUM, tiny_dataset)
+        fs = sum_scores(tiny_dataset)
         assert np.array_equal(fs.genuine, tiny_dataset.genuine.sum(axis=1))
         assert np.array_equal(fs.impostor, tiny_dataset.impostor.sum(axis=1))
 
@@ -80,7 +92,7 @@ class TestWeightedSum:
         matrix = rng.normal(size=(50, 4))
         assert np.array_equal(
             fuse_weighted_matrix(np.ones(4), matrix),
-            fuse_rule_matrix(FusionRule.SUM, matrix),
+            fuse_rule_matrix("sum", matrix),
         )
 
     def test_projection_weights_select_one_column(self):
@@ -89,11 +101,6 @@ class TestWeightedSum:
 
     def test_hand_value(self):
         assert fuse_weighted_matrix((2.0, -1.0), [(0.5, 0.5)]).tolist() == [0.5]
-
-    def test_accepts_weight_vector_objects(self):
-        matrix = np.array([[0.25, 0.75]])
-        wv = WeightVector((1.0, 1.0))
-        assert fuse_weighted_matrix(wv, matrix)[0] == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -104,37 +111,44 @@ class TestWeightedSum:
         assert np.array_equal(
             fs.genuine, (tiny_dataset.genuine * [0.5, 0.5]).sum(axis=1)
         )
+        assert np.array_equal(
+            fs.impostor, (tiny_dataset.impostor * [0.5, 0.5]).sum(axis=1)
+        )
 
 
 class TestSingleModality:
-    def test_projects_one_column(self, tiny_dataset):
-        fs = single_modality_scores(1, tiny_dataset)
-        assert np.array_equal(fs.genuine, tiny_dataset.genuine[:, 1])
-        assert np.array_equal(fs.impostor, tiny_dataset.impostor[:, 1])
-
-    def test_out_of_range(self, tiny_dataset):
-        with pytest.raises(ValidationError):
-            single_modality_scores(2, tiny_dataset)
+    def test_projects_one_column(self, make_gaussian):
+        split = normalized_split(make_gaussian(seed=45, modalities=3))
+        row = evaluate_baselines(split, rules=()).results[1]
+        expected = evaluate_fused_method(
+            "s2",
+            FusedScores(split.train.genuine[:, 1], split.train.impostor[:, 1]),
+            FusedScores(split.validation.genuine[:, 1], split.validation.impostor[:, 1]),
+        )
+        assert row.method == "s2"
+        for name in ("train_eer", "train_eer_threshold", "validation_eer",
+                     "validation_hter", "validation_auc"):
+            assert getattr(row, name) == getattr(expected, name)
+        assert np.array_equal(row.validation_roc.far, expected.validation_roc.far)
 
 
 class TestWeightVector:
-    def test_coerces_to_floats(self):
-        wv = WeightVector((1, 2))
-        assert wv.weights == (1.0, 2.0)
+    """The tuned weight vector is a plain tuple of floats inside the GA's
+    chromosome interval."""
 
-    def test_default_interval(self):
-        assert WeightVector((10.0, -10.0)).weights == (10.0, -10.0)
-        with pytest.raises(ValidationError):
-            WeightVector((10.5,))
+    def test_coerces_to_floats(self, make_gaussian):
+        ds = make_gaussian(seed=26, modalities=3, genuine=40, impostor=80)
+        tuned, _ = ga_tune_weights(ds, tiny_ga_config())
+        assert isinstance(tuned, tuple) and len(tuned) == 3
+        assert all(type(w) is float for w in tuned)
 
-    def test_custom_interval(self):
-        assert WeightVector((0.5,), lo=0.0, hi=1.0).weights == (0.5,)
-        with pytest.raises(ValidationError):
-            WeightVector((-0.5,), lo=0.0, hi=1.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            WeightVector(())
+    def test_default_interval(self, make_gaussian):
+        ds = make_gaussian(seed=27, modalities=3, genuine=40, impostor=80)
+        cfg = tiny_ga_config()
+        assert (cfg.weight_lo, cfg.weight_hi) == (-10.0, 10.0)
+        tuned, history = ga_tune_weights(ds, cfg)
+        for weights in [tuned] + [st.best_individual for st in history]:
+            assert all(-10.0 <= w <= 10.0 for w in weights)
 
 
 class TestGeometricSelection:
@@ -197,7 +211,7 @@ class TestGaTuning:
         ds = make_gaussian(seed=20, modalities=3, genuine=40, impostor=80)
         tuned, _ = ga_tune_weights(ds, tiny_ga_config())
         tuned_eer = sweep_roc(weighted_scores(tuned, ds)).eer
-        sum_eer = sweep_roc(rule_scores(FusionRule.SUM, ds)).eer
+        sum_eer = sweep_roc(sum_scores(ds)).eer
         assert tuned_eer <= sum_eer + 1e-9
 
     def test_returned_weights_reproduce_the_reported_best(self, make_gaussian):
@@ -230,7 +244,7 @@ class TestGaTuning:
             assert isinstance(st.best_individual, tuple)
             assert len(st.best_individual) == 3
         first_best = min(history, key=lambda st: st.best)
-        assert first_best.best_individual == tuned.weights
+        assert first_best.best_individual == tuned
 
     def test_learns_to_discount_a_noise_modality(self, make_gaussian):
         # modality 3 carries no signal; the sum rule pays for it, the tuned
@@ -241,15 +255,14 @@ class TestGaTuning:
         )
         tuned, _ = ga_tune_weights(ds, tiny_ga_config(generations=15))
         tuned_eer = sweep_roc(weighted_scores(tuned, ds)).eer
-        sum_eer = sweep_roc(rule_scores(FusionRule.SUM, ds)).eer
+        sum_eer = sweep_roc(sum_scores(ds)).eer
         assert tuned_eer < sum_eer
 
     def test_weights_stay_inside_the_interval(self, make_gaussian):
         ds = make_gaussian(seed=25, modalities=3, genuine=40, impostor=80)
         cfg = tiny_ga_config(weight_lo=0.0, weight_hi=1.0)
         tuned, _ = ga_tune_weights(ds, cfg)
-        assert all(0.0 <= w <= 1.0 for w in tuned.weights)
-        assert (tuned.lo, tuned.hi) == (0.0, 1.0)
+        assert all(0.0 <= w <= 1.0 for w in tuned)
 
     def test_degenerate_training_data_is_rejected(self):
         flat = ScoreDataset(2, np.full((3, 2), 0.1), np.full((4, 2), 0.1))
@@ -261,8 +274,8 @@ class TestEvaluateFusedMethod:
     def test_threshold_transfer(self, make_gaussian):
         train = make_gaussian(seed=30, modalities=2, genuine=50, impostor=100)
         validation = make_gaussian(seed=31, modalities=2, genuine=50, impostor=100)
-        train_fs = rule_scores(FusionRule.SUM, train)
-        validation_fs = rule_scores(FusionRule.SUM, validation)
+        train_fs = sum_scores(train)
+        validation_fs = sum_scores(validation)
         row = evaluate_fused_method("sum", train_fs, validation_fs)
 
         train_curve = sweep_roc(train_fs)
@@ -278,7 +291,7 @@ class TestEvaluateFusedMethod:
 
     def test_identical_splits_transfer_losslessly(self, make_gaussian):
         ds = make_gaussian(seed=32, modalities=2)
-        fs = rule_scores(FusionRule.SUM, ds)
+        fs = sum_scores(ds)
         row = evaluate_fused_method("sum", fs, fs)
         assert row.validation_hter == row.train_eer == row.validation_eer
 
@@ -299,7 +312,7 @@ class TestEvaluateBaselines:
         assert [r.method for r in report.results] == [
             "s1", "s2", "sum", "min", "mul", "weight",
         ]
-        assert len(report.tuned_weights.weights) == 2
+        assert len(report.tuned_weights) == 2
         assert report.ga_history is not None
 
     def test_all_rates_are_probabilities(self, make_gaussian):
@@ -322,5 +335,10 @@ class TestEvaluateBaselines:
 
     def test_rule_subset(self, make_gaussian):
         split = normalized_split(make_gaussian(seed=44, modalities=2))
-        report = evaluate_baselines(split, rules=(FusionRule.SUM,))
+        report = evaluate_baselines(split, rules=("sum",))
         assert [r.method for r in report.results] == ["s1", "s2", "sum"]
+
+    def test_unknown_rule_name_is_rejected(self, make_gaussian):
+        split = normalized_split(make_gaussian(seed=44, modalities=2))
+        with pytest.raises(ValidationError, match="unknown rule"):
+            evaluate_baselines(split, rules=("sum", "median"))

@@ -78,6 +78,27 @@ class TestLoadDataset:
         with pytest.raises(ScoreFileError, match="unknown label 'client'"):
             load_dataset(path, 2)
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"0.9,0.8,genuine\n0.5,0.5,genuine\n0.1,0.2,impost\xe9r\n0.2,0.1,impostor\n"
+        )
+        with pytest.raises(ScoreFileError, match=r"latin1.csv:3: unknown label") as exc:
+            load_dataset(path, 2)
+        assert exc.value.line_no == 3
+
+    def test_non_utf8_byte_in_a_score_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"face,voice,label\n0.9,0.8,genuine\n0.5,0\xe9.5,genuine\n")
+        with pytest.raises(ScoreFileError, match=r":3: non-numeric score"):
+            load_dataset(path, 2)
+
+    def test_over_long_field_names_its_line(self, tmp_path):
+        path = write(tmp_path, "0.9,0.8,genuine\n" + "1" * 200_000 + ",0.5,genuine\n")
+        with pytest.raises(ScoreFileError, match=r"scores.csv:2: malformed CSV") as exc:
+            load_dataset(path, 2)
+        assert exc.value.line_no == 2
+
     def test_empty_class_rejected(self, tmp_path):
         path = write(tmp_path, "0.9,0.8,genuine\n0.5,0.5,genuine\n")
         with pytest.raises(ValidationError, match="no impostor rows"):

@@ -90,7 +90,7 @@ class TestRunExperiment:
         ds = make_gaussian(seed=51, modalities=2, genuine=30, impostor=60)
         result = run_small(ds, methods=("sum", "weight"))
         entry = result.report["results"]["weight"]
-        assert entry["weights"] == list(result.baseline.tuned_weights.weights)
+        assert entry["weights"] == list(result.baseline.tuned_weights)
         assert len(entry["weights"]) == 2
 
     def test_gp_row_replays_from_its_sexpr(self, make_gaussian):
@@ -201,6 +201,20 @@ class TestWriteArtifacts:
         assert (tmp_path / "report.json").read_text() == "new\n"
         assert os.listdir(tmp_path) == ["report.json"]
 
+    def test_removes_stale_artifacts_and_keeps_other_files(self, tmp_path):
+        old = ("report.json", "normalization.json", "roc_gp.csv", "roc_sum.csv",
+               "gp_history.csv", "gp_best_tree.txt")
+        write_artifacts({name: "old\n" for name in old}, tmp_path)
+        for keep in ("notes.txt", "roc_sum.txt", "gp_notes.md", "my_gp_history.csv"):
+            (tmp_path / keep).write_text("mine\n")
+        written = write_artifacts({"report.json": "new\n", "roc_sum.csv": "new\n"},
+                                  tmp_path)
+        assert sorted(p.name for p in written) == ["report.json", "roc_sum.csv"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "gp_notes.md", "my_gp_history.csv", "notes.txt", "report.json",
+            "roc_sum.csv", "roc_sum.txt",
+        ]
+
 
 @pytest.fixture(scope="module")
 def score_csv(tmp_path_factory):
@@ -278,6 +292,24 @@ class TestCliRun:
         assert set(os.listdir(out)) == {
             "report.json", "normalization.json",
             "roc_s1.csv", "roc_s2.csv", "roc_s3.csv", "roc_sum.csv", "roc_min.csv",
+        }
+
+    def test_reused_out_directory_holds_only_this_runs_artifacts(
+        self, score_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        for methods in ("sum,min,mul", "sum"):
+            code = main([
+                "run", "--input", str(score_csv), "--modalities", "3",
+                "--methods", methods, "--out", str(out),
+            ])
+            assert code == 0
+        assert "wrote 6 files" in capsys.readouterr().out
+        assert set(os.listdir(out)) == {
+            "notes.txt", "report.json", "normalization.json",
+            "roc_s1.csv", "roc_s2.csv", "roc_s3.csv", "roc_sum.csv",
         }
 
     def test_gp_run_prints_the_tree(self, score_csv, tmp_path, capsys):
@@ -429,6 +461,37 @@ class TestCliEvalTree:
         err = capsys.readouterr().err
         assert "nests deeper than" in err
         assert "Traceback" not in err
+
+    def test_non_utf8_tree_file_is_a_data_error(self, score_csv, gp_run, tmp_path, capsys):
+        out, _ = gp_run
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"(add (var 0) (var \xe9))\n")
+        code = main([
+            "eval-tree", "--tree", str(latin1),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("means, stddevs", [
+        ("[null, 0.0, 0.0]", "[1.0, 1.0, 1.0]"),
+        ("[[1], 0.0, 0.0]", "[1.0, 1.0, 1.0]"),
+        ("[0.0, 0.0, 0.0]", "[1.0, 1.0, " + "9" * 400 + "]"),
+        ("[0.0, 0.0, 0.0]", "[true, 1.0, 1.0]"),
+    ], ids=["null-mean", "list-mean", "huge-int-stddev", "boolean-stddev"])
+    def test_malformed_params_are_a_data_error(
+        self, score_csv, gp_run, tmp_path, capsys, means, stddevs
+    ):
+        out, _ = gp_run
+        params = tmp_path / "params.json"
+        params.write_text(f'{{"means": {means}, "stddevs": {stddevs}}}\n')
+        code = main([
+            "eval-tree", "--tree", str(out / "gp_best_tree.txt"),
+            "--input", str(score_csv), "--modalities", "3", "--params", str(params),
+        ])
+        assert code == 1
+        assert "must be finite numbers" in capsys.readouterr().err
 
     def test_tree_referencing_a_missing_modality_is_a_data_error(
         self, score_csv, gp_run, tmp_path, capsys

@@ -159,6 +159,30 @@ class TestParamsDocument:
         with pytest.raises(ValidationError, match="declares 3"):
             normalizer_from_json(text)
 
+    @pytest.mark.parametrize("means, stddevs", [
+        ("[null, 0.0]", "[1.0, 1.0]"),
+        ("[[1], 0.0]", "[1.0, 1.0]"),
+        ("[0.0, 0.0]", "[1.0, " + "9" * 400 + "]"),
+        ("[0.0, 0.0]", "[true, 1.0]"),
+        ("[0.0, NaN]", "[1.0, 1.0]"),
+        ("[0.0, 0.0]", "[1.0, Infinity]"),
+        ("[0.0, 1e400]", "[1.0, 1.0]"),
+        ("\"ab\"", "\"cd\""),
+    ], ids=["null", "list", "huge-int", "boolean", "nan", "infinity", "overflow", "strings"])
+    def test_non_numeric_or_non_finite_values_rejected(self, means, stddevs):
+        text = f'{{"means": {means}, "stddevs": {stddevs}}}'
+        with pytest.raises(ValidationError, match="must be finite numbers"):
+            normalizer_from_json(text)
+
+    def test_values_become_floats(self):
+        norm = TanhNormalizer((0, np.float64(1.5)), (2, 3.0))
+        assert norm.means == (0.0, 1.5) and norm.stddevs == (2.0, 3.0)
+        assert all(type(v) is float for v in norm.means + norm.stddevs)
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValidationError, match="bad normalization params"):
+            normalizer_from_json("[" * 100_000)
+
     def test_zero_stddev_rejected(self):
         with pytest.raises(DegenerateModalityError):
             TanhNormalizer((0.0,), (0.0,))
