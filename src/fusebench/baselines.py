@@ -12,6 +12,11 @@ all-ones weight vector reproduces the plain sum rule bit-for-bit (same
 reduction order), which the GA exploits by seeding an equal-weight
 chromosome: the tuned result can never be worse than the sum rule on the
 training set.
+
+The GA supplies its initial population and breeding to the loop it shares
+with the GP, :func:`fusebench.gp.generational_search`.  Randomness: one
+generator seeded with ``GaConfig.seed`` draws the initial population, then
+each generation's breeding in slot order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .datasets import ScoreDataset, SplitPair
 from .errors import ValidationError
-from .gp import GenerationStats, population_stats
+from .gp import EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_roc
 
 WEIGHT_LO = -10.0
@@ -90,8 +95,7 @@ class MethodEvaluation:
 @dataclass(frozen=True)
 class BaselineReport:
     results: tuple[MethodEvaluation, ...]
-    tuned_weights: "tuple[float, ...] | None"
-    ga_history: "tuple[GenerationStats, ...] | None"
+    ga_result: "EvolutionResult | None"
 
 
 def fuse_rule_matrix(rule: str, scores) -> np.ndarray:
@@ -138,7 +142,7 @@ def _weighted_eer(w: np.ndarray, train: ScoreDataset) -> float:
     return sweep_roc(fuse_classes(partial(fuse_weighted_matrix, w), train)).eer
 
 
-def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
+def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     """Tune weighted-sum weights by a rank-selection GA minimizing train EER.
 
     Chromosomes are weight vectors in [weight_lo, weight_hi]^n.  Selection is
@@ -148,42 +152,22 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
     (elitism), and chromosome 0 of the initial population is the equal-weight
     vector, so the tuned training EER never exceeds the sum rule's.
 
-    Returns (best weights ever seen as a tuple, per-generation statistics).
+    The result's best individual is the best weight tuple ever seen.
     """
-    lo_score = min(train.genuine.min(), train.impostor.min())
-    hi_score = max(train.genuine.max(), train.impostor.max())
-    if lo_score == hi_score:
-        raise ValidationError("degenerate training set: every score is identical")
-
+    check_score_spread(train)
     n = train.modality_count
     rng = np.random.default_rng(cfg.seed)
     pop = rng.uniform(cfg.weight_lo, cfg.weight_hi, size=(cfg.population_size, n))
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
-    fits = np.array([_weighted_eer(w, train) for w in pop])
-
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
-    last = cfg.population_size - 1
 
-    history = [population_stats(0, pop, fits)]
-    best_fit = history[0].best
-    best_w = history[0].best_individual
-
-    for generation in range(1, cfg.generations + 1):
-        order = np.argsort(fits, kind="stable")
-        new_pop = np.empty_like(pop)
-        new_fits = np.empty_like(fits)
-        start = 0
-        if cfg.elitism:
-            new_pop[0] = pop[order[0]]
-            new_fits[0] = fits[order[0]]
-            start = 1
-
+    def breed(_generation, population, _fits, order, count):
         def select_parent():
-            rank = int(np.searchsorted(cum, rng.random(), side="right"))
-            return pop[order[min(rank, last)]]
+            return population[order[draw_rank(cum, rng)]]
 
-        for slot in range(start, cfg.population_size):
+        children = []
+        for _ in range(count):
             parent = select_parent()
             if rng.random() < cfg.p_crossover:
                 other = select_parent()
@@ -196,17 +180,11 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig):
                 child = np.where(
                     resample, rng.uniform(cfg.weight_lo, cfg.weight_hi, n), child
                 )
-            new_pop[slot] = child
-            new_fits[slot] = _weighted_eer(child, train)
+            children.append(child)
+        return children
 
-        pop, fits = new_pop, new_fits
-        stats = population_stats(generation, pop, fits)
-        history.append(stats)
-        if stats.best < best_fit:
-            best_fit = stats.best
-            best_w = stats.best_individual
-
-    return best_w, tuple(history)
+    return generational_search(list(pop), lambda w: _weighted_eer(w, train), breed,
+                               cfg.generations, 1 if cfg.elitism else 0)
 
 
 def evaluate_fused_method(method: str, train_fs: FusedScores,
@@ -239,14 +217,14 @@ def evaluate_baselines(
     fusions = [(f"s{m + 1}", lambda scores, m=m: scores[:, m])
                for m in range(split.train.modality_count)]
     fusions += [(rule, partial(fuse_rule_matrix, rule)) for rule in rules]
-    tuned = ga_history = None
+    ga_result = None
     if ga_config is not None:
-        tuned, ga_history = ga_tune_weights(split.train, ga_config)
-        fusions.append(("weight", partial(fuse_weighted_matrix, tuned)))
+        ga_result = ga_tune_weights(split.train, ga_config)
+        fusions.append(("weight", partial(fuse_weighted_matrix, ga_result.best_individual)))
     results = tuple(
         evaluate_fused_method(
             name, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation)
         )
         for name, fuse in fusions
     )
-    return BaselineReport(results, tuned, ga_history)
+    return BaselineReport(results, ga_result)

@@ -136,8 +136,8 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
         rows.append(
             evaluate_fused_method(
                 "gp",
-                eval_population(gp_result.best_tree, train),
-                eval_population(gp_result.best_tree, validation),
+                eval_population(gp_result.best_individual, train),
+                eval_population(gp_result.best_individual, validation),
             )
         )
 
@@ -145,9 +145,9 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     for row in rows:
         entry = _row_dict(row)
         if row.method == "weight":
-            entry["weights"] = list(baseline.tuned_weights)
+            entry["weights"] = list(baseline.ga_result.best_individual)
         if row.method == "gp":
-            entry["tree"] = tree_to_sexpr(gp_result.best_tree)
+            entry["tree"] = tree_to_sexpr(gp_result.best_individual)
             entry["train_best_fitness"] = float(gp_result.best_fitness)
             entry["generations_run"] = len(gp_result.history) - 1
         results[row.method] = entry
@@ -196,7 +196,7 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
         artifacts[f"roc_{row.method}.csv"] = roc_to_csv(row.validation_roc)
     if gp_result is not None:
         artifacts["gp_history.csv"] = history_to_csv(gp_result.history)
-        artifacts["gp_best_tree.txt"] = tree_to_sexpr(gp_result.best_tree) + "\n"
+        artifacts["gp_best_tree.txt"] = tree_to_sexpr(gp_result.best_individual) + "\n"
 
     return ExperimentResult(report, artifacts, tuple(rows), baseline, gp_result)
 

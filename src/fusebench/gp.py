@@ -16,6 +16,10 @@ The engine is a classic generational GP:
   verbatim into the next, which makes best fitness non-increasing; the
   remaining slots are filled by crossover or mutation in 45:50 odds.
 
+:func:`generational_search`, the generational loop, is shared with the GA
+of :mod:`fusebench.baselines`; the GP supplies its initial population and
+its breeding.
+
 Randomness discipline: one seed feeds a SeedSequence that spawns a child
 stream per generation (stream 0 initializes the population), so runs are
 bit-reproducible and fitness evaluation order can never perturb the
@@ -107,7 +111,10 @@ class GenerationStats:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    best_tree: ExpressionTree
+    """Outcome of a GP or GA search: the first individual to reach the
+    lowest fitness seen, that fitness, and every generation's statistics."""
+
+    best_individual: "ExpressionTree | tuple[float, ...]"
     best_fitness: float
     history: tuple[GenerationStats, ...]
 
@@ -144,19 +151,12 @@ def _random_op(rng) -> str:
     return FUNCTION_OPS[int(rng.integers(0, len(FUNCTION_OPS)))]
 
 
-def _full_node(depth: int, terminals, rng) -> Node:
-    if depth == 0:
-        return _random_terminal(terminals, rng)
-    op = _random_op(rng)
-    return Func(op, _full_node(depth - 1, terminals, rng),
-                _full_node(depth - 1, terminals, rng))
-
-
 def _grow_node(depth_budget: int, terminals, rng, *,
                forced_function_levels: int = 0, level: int = 0) -> Node:
     """Grow method: terminals may appear early (probability proportional to
     the terminal share of the primitive set), are forced once the budget is
-    spent, and are forbidden on the first `forced_function_levels` levels."""
+    spent, and are forbidden on the first `forced_function_levels` levels.
+    Forcing every level grows a full tree."""
     if depth_budget == 0:
         return _random_terminal(terminals, rng)
     if level >= forced_function_levels:
@@ -185,11 +185,9 @@ def ramped_half_and_half(cfg: EvolutionConfig, terminals, rng) -> list[Expressio
     for i in range(cfg.population_size):
         target = depths[i % len(depths)]
         use_full = (i // len(depths)) % 2 == 0
-        if use_full:
-            root = _full_node(target, terminals, rng)
-        else:
-            root = _grow_node(target, terminals, rng, forced_function_levels=2)
-        population.append(ExpressionTree(root))
+        forced = target if use_full else 2
+        population.append(ExpressionTree(
+            _grow_node(target, terminals, rng, forced_function_levels=forced)))
     return population
 
 
@@ -206,9 +204,14 @@ def tournament_select(population, fitnesses, cfg: EvolutionConfig, rng) -> Expre
     p = cfg.tournament_p
     probs = p * (1.0 - p) ** np.arange(cfg.tournament_size, dtype=np.float64)
     probs[-1] = 1.0 - probs[:-1].sum()
-    rank = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    rank = min(rank, cfg.tournament_size - 1)  # guard cumulative-sum rounding
+    rank = draw_rank(np.cumsum(probs), rng)
     return population[int(drawn[ranked[rank]])]
+
+
+def draw_rank(cum, rng) -> int:
+    """Rank drawn by one uniform draw from cumulative probabilities ``cum``;
+    a draw past a rounded-down total lands on the last rank."""
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
 
 
 def crossover(parent1: ExpressionTree, parent2: ExpressionTree,
@@ -266,9 +269,46 @@ def population_stats(generation: int, population, fitnesses) -> GenerationStats:
     )
 
 
+def generational_search(population: list, score, breed, generations: int,
+                        elite_count: int, stop_below=None) -> EvolutionResult:
+    """Elitist generational loop minimizing ``score``, shared by GP and GA.
+
+    Generation 0 is ``population``.  Each later generation is the previous
+    one's ``elite_count`` best, verbatim and with their fitnesses reused,
+    then the ``count`` children of ``breed(generation, population,
+    fitnesses, order, count)``, where ``order`` ranks the previous
+    generation best first; all children are bred, then scored in order.
+    The loop stops after ``generations`` bred generations, or once the best
+    fitness is below ``stop_below``.  The best individual returned is that
+    of the first generation to reach the lowest fitness.
+    """
+    fitnesses = [score(individual) for individual in population]
+    history = [population_stats(0, population, fitnesses)]
+    for generation in range(1, generations + 1):
+        if stop_below is not None and min(st.best for st in history) < stop_below:
+            break
+        order = np.argsort(fitnesses, kind="stable")
+        elites = [int(i) for i in order[:elite_count]]
+        children = breed(generation, population, fitnesses, order,
+                         len(population) - elite_count)
+        population = [population[i] for i in elites] + children
+        fitnesses = [fitnesses[i] for i in elites] + [score(c) for c in children]
+        history.append(population_stats(generation, population, fitnesses))
+    best = min(history, key=lambda st: st.best)
+    return EvolutionResult(best.best_individual, best.best, tuple(history))
+
+
+def check_score_spread(train: ScoreDataset) -> None:
+    """Reject a training set whose scores are all identical."""
+    lo = min(train.genuine.min(), train.impostor.min())
+    hi = max(train.genuine.max(), train.impostor.max())
+    if lo == hi:
+        raise ValidationError("degenerate training set: every score is identical")
+
+
 def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
            observer=None) -> EvolutionResult:
-    """Run the generational loop and return the best tree ever seen.
+    """Run the GP's generational loop and return the best tree ever seen.
 
     ``observer``, if given, is called with every tree the engine creates
     (initial population and each offspring) and exists for auditing the
@@ -278,38 +318,24 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
     best fitness drops below ``fitness_target`` or after ``max_generations``
     bred generations.  Same seed and data reproduce the run bit-for-bit.
     """
-    pooled_lo = min(train.genuine.min(), train.impostor.min())
-    pooled_hi = max(train.genuine.max(), train.impostor.max())
-    if pooled_lo == pooled_hi:
-        raise ValidationError("degenerate training set: every score is identical")
-
+    check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.max_generations + 1)
 
-    rng = np.random.default_rng(streams[0])
-    population = ramped_half_and_half(cfg, terminals, rng)
+    population = ramped_half_and_half(cfg, terminals, np.random.default_rng(streams[0]))
     if observer is not None:
         for tree in population:
             observer(tree)
-    fitnesses = [fitness(tree, train) for tree in population]
-
-    history = [population_stats(0, population, fitnesses)]
-    best_tree = history[0].best_individual
-    best_fitness = history[0].best
 
     elite_count = min(max(1, round(cfg.p_reproduction * cfg.population_size)),
                       cfg.population_size)
     # crossover odds among the non-elite slots: 0.45 / (0.45 + 0.50)
     p_cx = cfg.p_crossover / (cfg.p_crossover + cfg.p_mutation)
 
-    for generation in range(1, cfg.max_generations + 1):
-        if best_fitness < cfg.fitness_target:
-            break
+    def breed(generation, population, fitnesses, _order, count):
         rng = np.random.default_rng(streams[generation])
-        order = np.argsort(fitnesses, kind="stable")
-        next_population = [population[int(i)] for i in order[:elite_count]]
-        next_fitnesses = [fitnesses[int(i)] for i in order[:elite_count]]
-        for _ in range(cfg.population_size - elite_count):
+        children = []
+        for _ in range(count):
             if rng.random() < p_cx:
                 parent1 = tournament_select(population, fitnesses, cfg, rng)
                 parent2 = tournament_select(population, fitnesses, cfg, rng)
@@ -321,17 +347,11 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
                 raise AssertionError("genetic operator produced an over-deep tree")
             if observer is not None:
                 observer(child)
-            next_population.append(child)
-            next_fitnesses.append(fitness(child, train))
-        population = next_population
-        fitnesses = next_fitnesses
-        stats = population_stats(generation, population, fitnesses)
-        history.append(stats)
-        if stats.best < best_fitness:
-            best_fitness = stats.best
-            best_tree = stats.best_individual
+            children.append(child)
+        return children
 
-    return EvolutionResult(best_tree, best_fitness, tuple(history))
+    return generational_search(population, lambda tree: fitness(tree, train), breed,
+                               cfg.max_generations, elite_count, cfg.fitness_target)
 
 
 def history_to_csv(history) -> str:

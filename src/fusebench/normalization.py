@@ -65,7 +65,8 @@ class TanhNormalizer:
             )
         mu = np.asarray(self.means)
         sigma = np.asarray(self.stddevs)
-        return 0.5 * (np.tanh((scores - mu) / (100.0 * sigma)) + 1.0)
+        with np.errstate(over="ignore"):  # a tiny sigma gives +-inf, and tanh saturates
+            return 0.5 * (np.tanh((scores - mu) / (100.0 * sigma)) + 1.0)
 
     def transform_dataset(self, ds: ScoreDataset) -> ScoreDataset:
         return ScoreDataset(

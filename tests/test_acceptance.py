@@ -246,7 +246,7 @@ def test_criterion_5_evolved_trees_beat_singles_and_track_the_sum_rule():
         cfg = EvolutionConfig(seed=seed, population_size=300, max_generations=25)
         result = evolve(normalized.train, cfg)
         gp_val = sweep_roc(
-            eval_population(result.best_tree, normalized.validation)
+            eval_population(result.best_individual, normalized.validation)
         ).eer
 
         seed_ok = gp_val <= min(single_vals) and gp_val <= sum_val + GP_VS_SUM_TOL
@@ -272,7 +272,7 @@ def test_criterion_6_tuned_weights_never_lose_to_equal_weights():
             genuine_means=(1.5, 1.1, 0.7),
         )
         train = normalized_split(ds).train
-        tuned, _ = ga_tune_weights(train, GaConfig.desk_scale(seed))
+        tuned = ga_tune_weights(train, GaConfig.desk_scale(seed)).best_individual
         tuned_eer = sweep_roc(fuse_classes(partial(fuse_weighted_matrix, tuned), train)).eer
         sum_eer = sweep_roc(fuse_classes(partial(fuse_rule_matrix, "sum"), train)).eer
         worst_excess = max(worst_excess, tuned_eer - sum_eer)
@@ -331,7 +331,7 @@ def test_criterion_8_eer_is_invariant_under_exp_warping():
             max_depth=6, init_depth_min=2, init_depth_max=4, n_constants=8,
         )
         result = evolve(train, cfg)
-        fused = eval_population(result.best_tree, train)
+        fused = eval_population(result.best_individual, train)
         magnitude = max(np.abs(fused.genuine).max(), np.abs(fused.impostor).max())
         assert magnitude < 700.0, "fixture drifted: exp() would overflow"
         warped = FusedScores(np.exp(fused.genuine), np.exp(fused.impostor))

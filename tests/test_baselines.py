@@ -138,7 +138,7 @@ class TestWeightVector:
 
     def test_coerces_to_floats(self, make_gaussian):
         ds = make_gaussian(seed=26, modalities=3, genuine=40, impostor=80)
-        tuned, _ = ga_tune_weights(ds, tiny_ga_config())
+        tuned = ga_tune_weights(ds, tiny_ga_config()).best_individual
         assert isinstance(tuned, tuple) and len(tuned) == 3
         assert all(type(w) is float for w in tuned)
 
@@ -146,8 +146,9 @@ class TestWeightVector:
         ds = make_gaussian(seed=27, modalities=3, genuine=40, impostor=80)
         cfg = tiny_ga_config()
         assert (cfg.weight_lo, cfg.weight_hi) == (-10.0, 10.0)
-        tuned, history = ga_tune_weights(ds, cfg)
-        for weights in [tuned] + [st.best_individual for st in history]:
+        result = ga_tune_weights(ds, cfg)
+        for weights in [result.best_individual] + [st.best_individual
+                                                   for st in result.history]:
             assert all(-10.0 <= w <= 10.0 for w in weights)
 
 
@@ -209,21 +210,22 @@ class TestGaConfig:
 class TestGaTuning:
     def test_never_worse_than_the_sum_rule_on_train(self, make_gaussian):
         ds = make_gaussian(seed=20, modalities=3, genuine=40, impostor=80)
-        tuned, _ = ga_tune_weights(ds, tiny_ga_config())
+        tuned = ga_tune_weights(ds, tiny_ga_config()).best_individual
         tuned_eer = sweep_roc(weighted_scores(tuned, ds)).eer
         sum_eer = sweep_roc(sum_scores(ds)).eer
         assert tuned_eer <= sum_eer + 1e-9
 
     def test_returned_weights_reproduce_the_reported_best(self, make_gaussian):
         ds = make_gaussian(seed=21, modalities=3, genuine=40, impostor=80)
-        tuned, history = ga_tune_weights(ds, tiny_ga_config())
-        assert sweep_roc(weighted_scores(tuned, ds)).eer == min(
-            st.best for st in history
+        result = ga_tune_weights(ds, tiny_ga_config())
+        assert sweep_roc(weighted_scores(result.best_individual, ds)).eer == min(
+            st.best for st in result.history
         )
+        assert result.best_fitness == min(st.best for st in result.history)
 
     def test_elitism_makes_best_non_increasing(self, make_gaussian):
         ds = make_gaussian(seed=22, modalities=3, genuine=40, impostor=80)
-        _, history = ga_tune_weights(ds, tiny_ga_config())
+        history = ga_tune_weights(ds, tiny_ga_config()).history
         bests = [st.best for st in history]
         assert all(a >= b for a, b in zip(bests, bests[1:]))
         assert [st.generation for st in history] == list(range(len(bests)))
@@ -231,20 +233,35 @@ class TestGaTuning:
 
     def test_same_seed_reproduces_the_run(self, make_gaussian):
         ds = make_gaussian(seed=23, modalities=3, genuine=40, impostor=80)
-        first_w, first_h = ga_tune_weights(ds, tiny_ga_config())
-        second_w, second_h = ga_tune_weights(ds, tiny_ga_config())
-        assert first_w == second_w
-        assert [st.best for st in first_h] == [st.best for st in second_h]
-        assert first_h[-1].best_individual == second_h[-1].best_individual
+        first = ga_tune_weights(ds, tiny_ga_config())
+        second = ga_tune_weights(ds, tiny_ga_config())
+        assert first.best_individual == second.best_individual
+        assert [st.best for st in first.history] == [st.best for st in second.history]
+        assert first.history[-1].best_individual == second.history[-1].best_individual
 
     def test_history_holds_copied_weight_tuples(self, make_gaussian):
         ds = make_gaussian(seed=23, modalities=3, genuine=40, impostor=80)
-        tuned, history = ga_tune_weights(ds, tiny_ga_config())
-        for st in history:
+        result = ga_tune_weights(ds, tiny_ga_config())
+        for st in result.history:
             assert isinstance(st.best_individual, tuple)
             assert len(st.best_individual) == 3
-        first_best = min(history, key=lambda st: st.best)
-        assert first_best.best_individual == tuned
+        first_best = min(result.history, key=lambda st: st.best)
+        assert first_best.best_individual == result.best_individual
+
+    def test_without_elitism_the_first_best_ever_is_returned(self, make_gaussian):
+        # near-uniform rank selection and heavy mutation lose the best
+        # chromosome, so the last generation is not the best one
+        ds = make_gaussian(seed=30, modalities=3, genuine=40, impostor=80)
+        cfg = tiny_ga_config(population_size=6, elitism=False, selection_q=0.1,
+                             p_mutation=0.9)
+        result = ga_tune_weights(ds, cfg)
+        bests = [st.best for st in result.history]
+        first_best = min(result.history, key=lambda st: st.best)
+        assert 0 < first_best.generation < len(bests) - 1, "fixture drifted"
+        assert bests[-1] > min(bests), "fixture drifted"
+        assert result.best_fitness == min(bests)
+        assert result.best_individual == first_best.best_individual
+        assert sweep_roc(weighted_scores(result.best_individual, ds)).eer == min(bests)
 
     def test_learns_to_discount_a_noise_modality(self, make_gaussian):
         # modality 3 carries no signal; the sum rule pays for it, the tuned
@@ -253,7 +270,7 @@ class TestGaTuning:
             seed=24, modalities=3, genuine=80, impostor=160,
             genuine_means=(1.6, 1.3, 0.0),
         )
-        tuned, _ = ga_tune_weights(ds, tiny_ga_config(generations=15))
+        tuned = ga_tune_weights(ds, tiny_ga_config(generations=15)).best_individual
         tuned_eer = sweep_roc(weighted_scores(tuned, ds)).eer
         sum_eer = sweep_roc(sum_scores(ds)).eer
         assert tuned_eer < sum_eer
@@ -261,7 +278,7 @@ class TestGaTuning:
     def test_weights_stay_inside_the_interval(self, make_gaussian):
         ds = make_gaussian(seed=25, modalities=3, genuine=40, impostor=80)
         cfg = tiny_ga_config(weight_lo=0.0, weight_hi=1.0)
-        tuned, _ = ga_tune_weights(ds, cfg)
+        tuned = ga_tune_weights(ds, cfg).best_individual
         assert all(0.0 <= w <= 1.0 for w in tuned)
 
     def test_degenerate_training_data_is_rejected(self):
@@ -303,8 +320,7 @@ class TestEvaluateBaselines:
         assert [r.method for r in report.results] == [
             "s1", "s2", "s3", "sum", "min", "mul",
         ]
-        assert report.tuned_weights is None
-        assert report.ga_history is None
+        assert report.ga_result is None
 
     def test_row_catalog_with_ga(self, make_gaussian):
         split = normalized_split(make_gaussian(seed=41, modalities=2))
@@ -312,8 +328,8 @@ class TestEvaluateBaselines:
         assert [r.method for r in report.results] == [
             "s1", "s2", "sum", "min", "mul", "weight",
         ]
-        assert len(report.tuned_weights) == 2
-        assert report.ga_history is not None
+        assert len(report.ga_result.best_individual) == 2
+        assert len(report.ga_result.history) == tiny_ga_config().generations + 1
 
     def test_all_rates_are_probabilities(self, make_gaussian):
         split = normalized_split(make_gaussian(seed=42, modalities=3))

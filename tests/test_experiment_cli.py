@@ -90,7 +90,7 @@ class TestRunExperiment:
         ds = make_gaussian(seed=51, modalities=2, genuine=30, impostor=60)
         result = run_small(ds, methods=("sum", "weight"))
         entry = result.report["results"]["weight"]
-        assert entry["weights"] == list(result.baseline.tuned_weights)
+        assert entry["weights"] == list(result.baseline.ga_result.best_individual)
         assert len(entry["weights"]) == 2
 
     def test_gp_row_replays_from_its_sexpr(self, make_gaussian):
@@ -100,7 +100,7 @@ class TestRunExperiment:
         assert entry["train_best_fitness"] == result.gp_result.best_fitness
         assert entry["generations_run"] == len(result.gp_result.history) - 1
         tree = parse_sexpr(entry["tree"])
-        assert tree == result.gp_result.best_tree
+        assert tree == result.gp_result.best_individual
 
     def test_gains_absent_without_the_weight_reference(self, make_gaussian):
         ds = make_gaussian(seed=53, modalities=2, genuine=30, impostor=60)
@@ -181,7 +181,7 @@ class TestRunExperiment:
         split = split_dataset(ds)
         norm = fit_tanh_normalizer(split.train)
         validation = norm.transform_dataset(split.validation)
-        replayed = sweep_roc(eval_population(result.gp_result.best_tree, validation))
+        replayed = sweep_roc(eval_population(result.gp_result.best_individual, validation))
         assert replayed.eer == result.report["results"]["gp"]["validation_eer"]
 
 

@@ -117,7 +117,6 @@ def params_documents(draw):
     return json.dumps(payload)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @FUZZ
 @given(text=params_documents(), seed=st.integers(0, 2**16))
 def test_normalizer_from_json_then_transform_is_a_result_or_a_fusebench_error(

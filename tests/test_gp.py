@@ -12,6 +12,7 @@ from fusebench.gp import (
     eval_population,
     evolve,
     fitness,
+    generational_search,
     history_to_csv,
     mutate,
     ramped_half_and_half,
@@ -380,14 +381,14 @@ class TestEvolve:
         ds = make_gaussian(seed=3, modalities=2, genuine=60, impostor=120)
         result = evolve(ds, small_config())
         assert result.best_fitness == min(st.best for st in result.history)
-        assert fitness(result.best_tree, ds) == result.best_fitness
+        assert fitness(result.best_individual, ds) == result.best_fitness
 
     def test_same_seed_reproduces_the_run(self, make_gaussian):
         ds = make_gaussian(seed=4, modalities=2, genuine=50, impostor=100)
         cfg = small_config(max_generations=4)
         first = evolve(ds, cfg)
         second = evolve(ds, cfg)
-        assert first.best_tree == second.best_tree
+        assert first.best_individual == second.best_individual
         assert first.best_fitness == second.best_fitness
         assert len(first.history) == len(second.history)
         for a, b in zip(first.history, second.history):
@@ -398,7 +399,7 @@ class TestEvolve:
         ds = make_gaussian(seed=4, modalities=2, genuine=50, impostor=100)
         first = evolve(ds, small_config(seed=1, max_generations=2))
         second = evolve(ds, small_config(seed=2, max_generations=2))
-        assert first.best_tree != second.best_tree
+        assert first.best_individual != second.best_individual
 
     def test_separable_data_terminates_early(self, make_gaussian):
         ds = make_gaussian(
@@ -435,6 +436,70 @@ class TestEvolve:
         result = evolve(ds, small_config(max_generations=1))
         assert result.history[0].generation == 0
         assert len(result.history) == 2
+
+
+class TestGenerationalSearch:
+    """The shared GP/GA loop on a toy problem: integers scored by |x - 7|,
+    with a breed that plays back scripted children."""
+
+    @staticmethod
+    def run(initial, children, generations, elite_count, stop_below=None):
+        """Returns the result, the scored individuals in call order, and
+        the (generation, population, fitnesses, order, count) of every
+        breed call."""
+        scored, bred = [], []
+
+        def score(x):
+            scored.append(x)
+            return abs(x - 7)
+
+        def breed(generation, population, fitnesses, order, count):
+            bred.append((generation, list(population), list(fitnesses),
+                         [int(i) for i in order], count))
+            return list(children[generation][:count])
+
+        result = generational_search(list(initial), score, breed, generations,
+                                     elite_count, stop_below)
+        return result, scored, bred
+
+    def test_elites_lead_verbatim_and_are_not_rescored(self):
+        children = {1: [110, 111], 2: [120, 121]}
+        result, scored, bred = self.run([3, 9, 6, 20], children, 2, elite_count=2)
+        # generation 0 ranks 6 (1), 9 (2), 3 (4), 20 (13)
+        assert bred[0] == (1, [3, 9, 6, 20], [4, 2, 1, 13], [2, 1, 0, 3], 2)
+        assert bred[1] == (2, [6, 9, 110, 111], [1, 2, 103, 104], [0, 1, 2, 3], 2)
+        assert scored == [3, 9, 6, 20, 110, 111, 120, 121]
+        assert [st.generation for st in result.history] == [0, 1, 2]
+        assert result.best_individual == 6 and result.best_fitness == 1
+
+    @pytest.mark.parametrize("elite_count", [0, 1, 3])
+    def test_scorer_calls_per_generation(self, elite_count):
+        children = {g: [50 + g] * 4 for g in (1, 2, 3)}
+        _, scored, bred = self.run([1, 2, 3, 4], children, 3, elite_count)
+        assert len(scored) == 4 + 3 * (4 - elite_count)
+        assert [b[4] for b in bred] == [4 - elite_count] * 3
+
+    def test_stops_at_the_first_generation_under_the_target(self):
+        # bests per generation: 6, 3, 2, 1, then 0 if it went on
+        children = {g: [3 + g] for g in range(1, 11)}
+        result, _, bred = self.run([0, 1], children, 10, elite_count=1,
+                                   stop_below=1.5)
+        assert [st.best for st in result.history] == [6, 3, 2, 1]
+        assert [b[0] for b in bred] == [1, 2, 3]
+        assert result.best_individual == 6
+
+    def test_generation_zero_under_the_target_breeds_nothing(self):
+        result, scored, bred = self.run([7, 3], {}, 5, elite_count=1, stop_below=0.5)
+        assert len(result.history) == 1 and bred == [] and scored == [7, 3]
+        assert (result.best_individual, result.best_fitness) == (7, 0)
+
+    def test_without_elites_the_first_generation_at_the_minimum_wins(self):
+        # bests per generation: 7, 2 (by 9), 5, 2 again (by 5)
+        children = {1: [9, 30], 2: [12, 40], 3: [5, 50]}
+        result, _, _ = self.run([0, 20], children, 3, elite_count=0)
+        assert [st.best for st in result.history] == [7, 2, 5, 2]
+        assert result.best_individual == 9
+        assert result.best_fitness == 2
 
 
 class TestHistoryCsv:

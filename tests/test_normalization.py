@@ -109,6 +109,13 @@ class TestMapping:
         with pytest.raises(ValidationError):
             norm.transform_matrix([[1.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_stddev_saturates_without_warning(self):
+        # 1 / (100 * 5e-324) overflows to inf, and tanh(+-inf) is exactly +-1
+        norm = TanhNormalizer((0.0, 0.0), (5e-324, 1.0))
+        out = norm.transform_matrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+        assert out.tolist() == [[1.0, 0.5], [0.0, 0.5], [0.5, 0.5]]
+
 
 class TestTransformDataset:
     def test_all_means_become_half(self):
