@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from .baselines import GaConfig
+from .baselines import GA_PRESETS
 from .datasets import (
     SyntheticSpec,
     generate_synthetic,
@@ -29,7 +30,6 @@ from .datasets import (
 from .errors import FusebenchError, ValidationError
 from .experiment import (
     FUSION_METHODS,
-    GA_PRESETS,
     run_experiment,
     select_methods,
     write_artifacts,
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="IDX",
                      help="negate this 0-based modality at ingestion "
                           "(distance-convention scores); repeatable")
-    run.add_argument("--ga-preset", choices=GA_PRESETS, default="desk",
+    run.add_argument("--ga-preset", choices=list(GA_PRESETS), default="desk",
                      help="weighted-sum tuner scale (default desk: 200x60; "
                           "paper: 5000x500)")
     run.add_argument("--gp-generations", type=int, default=None,
@@ -210,7 +210,7 @@ def cmd_gen_synth(args) -> int:
         impostor_count=impostor_count,
         seed=args.seed,
     )
-    ds = generate_synthetic(spec, name=Path(args.out).stem)
+    ds = generate_synthetic(spec)
     save_dataset(ds, args.out)
     print(f"wrote {ds.genuine_count} genuine + {ds.impostor_count} impostor "
           f"tuples ({ds.modality_count} modalities) to {args.out}")
@@ -219,6 +219,8 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_eval_tree(args) -> int:
     negate = _check_negations(args.negate_modality, args.modalities)
+    if args.hter_threshold is not None and not math.isfinite(args.hter_threshold):
+        raise UsageError(f"--hter-threshold must be finite, got {args.hter_threshold}")
     try:
         tree_text = Path(args.tree).read_text(encoding="utf-8", errors="surrogateescape")
         params_text = Path(args.params).read_text(encoding="utf-8", errors="surrogateescape")

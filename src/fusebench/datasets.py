@@ -158,9 +158,8 @@ def _looks_numeric(cell: str) -> bool:
 
 
 def load_dataset(path, modality_count: int, *,
-                 negate_modalities: Iterable[int] = (),
-                 name: str | None = None) -> ScoreDataset:
-    """Parse a score CSV into a :class:`ScoreDataset`.
+                 negate_modalities: Iterable[int] = ()) -> ScoreDataset:
+    """Parse a score CSV into a :class:`ScoreDataset` named by the file's stem.
 
     ``negate_modalities`` lists 0-based modality indices whose scores are
     multiplied by -1 at ingestion (for distance-style matchers).
@@ -197,10 +196,7 @@ def load_dataset(path, modality_count: int, *,
     if negate:
         genuine[:, negate] *= -1.0
         impostor[:, negate] *= -1.0
-    return ScoreDataset(
-        modality_count, genuine, impostor,
-        name=name if name is not None else path.stem,
-    )
+    return ScoreDataset(modality_count, genuine, impostor, name=path.stem)
 
 
 def dataset_to_csv(ds: ScoreDataset) -> str:

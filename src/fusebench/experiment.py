@@ -30,6 +30,7 @@ import numpy as np
 
 from .baselines import (
     FIXED_RULES,
+    GA_PRESETS,
     BaselineReport,
     GaConfig,
     MethodEvaluation,
@@ -44,7 +45,6 @@ from .normalization import fit_tanh_normalizer, normalizer_to_json
 from .trees import tree_to_sexpr
 
 FUSION_METHODS = ("sum", "min", "mul", "weight", "gp")
-GA_PRESETS = ("desk", "paper")
 # the names of every file run_experiment can emit (see write_artifacts)
 ARTIFACT_PATTERNS = ("report.json", "normalization.json", "roc_*.csv",
                      "gp_*.csv", "gp_*.txt")
@@ -107,12 +107,13 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     """
     methods = select_methods(methods)
     if ga_preset not in GA_PRESETS:
-        raise ValidationError(f"unknown GA preset {ga_preset!r}; choose from {GA_PRESETS}")
+        raise ValidationError(
+            f"unknown GA preset {ga_preset!r}; choose from {list(GA_PRESETS)}"
+        )
 
     ga_seed, gp_seed = derive_component_seeds(seed)
     if ga_config is None and "weight" in methods:
-        make = GaConfig.desk_scale if ga_preset == "desk" else GaConfig.paper_scale
-        ga_config = make(ga_seed)
+        ga_config = GaConfig(seed=ga_seed, **GA_PRESETS[ga_preset])
     if gp_config is None and "gp" in methods:
         overrides = {} if gp_generations is None else {"max_generations": gp_generations}
         gp_config = EvolutionConfig(seed=gp_seed, **overrides)

@@ -306,26 +306,20 @@ def check_score_spread(train: ScoreDataset) -> None:
         raise ValidationError("degenerate training set: every score is identical")
 
 
-def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
-           observer=None) -> EvolutionResult:
+def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     """Run the GP's generational loop and return the best tree ever seen.
-
-    ``observer``, if given, is called with every tree the engine creates
-    (initial population and each offspring) and exists for auditing the
-    closure invariants.
 
     Generation 0 is the random initial population; evolution stops once the
     best fitness drops below ``fitness_target`` or after ``max_generations``
     bred generations.  Same seed and data reproduce the run bit-for-bit.
+    Every created tree is scored once, by ``fusebench.gp.fitness`` looked
+    up at call time, so wrapping that function sees every tree the run creates.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.max_generations + 1)
 
     population = ramped_half_and_half(cfg, terminals, np.random.default_rng(streams[0]))
-    if observer is not None:
-        for tree in population:
-            observer(tree)
 
     elite_count = min(max(1, round(cfg.p_reproduction * cfg.population_size)),
                       cfg.population_size)
@@ -345,8 +339,6 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig, *,
                 child = mutate(parent, cfg, terminals, rng)
             if child.depth > cfg.max_depth:
                 raise AssertionError("genetic operator produced an over-deep tree")
-            if observer is not None:
-                observer(child)
             children.append(child)
         return children
 

@@ -16,7 +16,6 @@ exists so the grid approximation can be checked against ground truth.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,7 @@ class RocCurve:
     """Threshold sweep result: parallel threshold/FAR/FRR arrays plus EER.
 
     ``eer`` is (FAR + FRR) / 2 at the sweep index minimizing |FAR - FRR|,
-    except in the degenerate all-scores-equal case where it is defined as
-    the chance level 0.5.
+    which is the chance level 0.5 when every fused score is equal.
     """
 
     thresholds: np.ndarray
@@ -97,11 +95,6 @@ def _counts_at(fs: FusedScores, thresholds: np.ndarray) -> tuple[np.ndarray, np.
     return imp_ge, gen_lt
 
 
-def _rates_at(fs: FusedScores, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    imp_ge, gen_lt = _counts_at(fs, thresholds)
-    return imp_ge / fs.impostor.size, gen_lt / fs.genuine.size
-
-
 def _eer_index(fs: FusedScores, imp_ge: np.ndarray, gen_lt: np.ndarray) -> int:
     # |FAR - FRR| compared exactly via integer cross-multiplication, so the
     # lowest-index tie rule is immune to float rounding of the rates.
@@ -113,22 +106,12 @@ def sweep_roc(fs: FusedScores) -> RocCurve:
     """Evaluate FAR/FRR on a 1000-point linear grid over the score range.
 
     Grid point k is lo + k * (hi - lo) / 999 where lo/hi are the minimum
-    and maximum over both classes pooled.  If every fused score is equal
-    the sweep carries no information; the curve degenerates to a single
-    repeated point and EER is defined as 0.5 (with a warning), which
-    correctly scores an uninformative fusion as chance level.
+    and maximum over both classes pooled.  If every fused score is equal,
+    every grid point is that score (``0.0`` for ``-0.0``) and accepts
+    everything, so FAR is 1, FRR 0 and EER the chance level 0.5.
     """
     lo = float(min(fs.genuine.min(), fs.impostor.min()))
     hi = float(max(fs.genuine.max(), fs.impostor.max()))
-    if hi == lo:
-        warnings.warn(
-            "all fused scores are identical; EER defined as 0.5",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        thresholds = np.full(SWEEP_POINTS, lo)
-        far, frr = _rates_at(fs, thresholds)
-        return RocCurve(thresholds, far, frr, eer=0.5, eer_threshold=lo)
     k = np.arange(SWEEP_POINTS, dtype=np.float64)
     thresholds = lo + k * (hi - lo) / (SWEEP_POINTS - 1)
     imp_ge, gen_lt = _counts_at(fs, thresholds)
@@ -193,9 +176,9 @@ def gain(ref: float, new: float) -> float:
     return 100.0 * (ref - new) / ref
 
 
-def roc_to_csv(curve: RocCurve, precision: int = 6) -> str:
-    """Render a curve as ``threshold,far,frr`` CSV text (LF line endings)."""
+def roc_to_csv(curve: RocCurve) -> str:
+    """Render a curve as ``threshold,far,frr`` CSV text, six decimals, LF endings."""
     lines = ["threshold,far,frr"]
     for t, fa, fr in zip(curve.thresholds, curve.far, curve.frr):
-        lines.append(f"{t:.{precision}f},{fa:.{precision}f},{fr:.{precision}f}")
+        lines.append(f"{t:.6f},{fa:.6f},{fr:.6f}")
     return "\n".join(lines) + "\n"

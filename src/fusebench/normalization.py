@@ -81,16 +81,13 @@ def fit_tanh_normalizer(train: ScoreDataset) -> TanhNormalizer:
     """Estimate per-modality location/scale from the genuine training scores.
 
     Uses the population standard deviation (ddof=0).  A modality whose
-    genuine scores are all identical cannot be scaled and raises
-    :class:`DegenerateModalityError`.
+    genuine scores are all identical cannot be scaled: its zero stddev
+    raises :class:`DegenerateModalityError`.
     """
     if train.genuine_count < 2:
         raise ValidationError("fitting needs at least two genuine tuples")
     means = train.genuine.mean(axis=0)
     stddevs = train.genuine.std(axis=0)
-    for m, s in enumerate(stddevs.tolist()):
-        if s <= 0:
-            raise DegenerateModalityError(m)
     return TanhNormalizer(tuple(means.tolist()), tuple(stddevs.tolist()))
 
 

@@ -146,9 +146,6 @@ class ExpressionTree:
     def depth(self) -> int:
         return self.root.depth
 
-    def __str__(self) -> str:
-        return to_sexpr(self.root)
-
 
 def _eval_node(node: Node, scores: np.ndarray) -> np.ndarray:
     if isinstance(node, Var):
@@ -195,16 +192,16 @@ def evaluate_matrix(tree: ExpressionTree, scores) -> np.ndarray:
     return _eval_node(tree.root, np.clip(scores, -VALUE_CLAMP, VALUE_CLAMP))
 
 
-def to_sexpr(node: Node) -> str:
+def _to_sexpr(node: Node) -> str:
     if isinstance(node, Var):
         return f"(var {node.index})"
     if isinstance(node, Const):
         return f"(const {repr(float(node.value))})"
-    return f"({node.op} {to_sexpr(node.left)} {to_sexpr(node.right)})"
+    return f"({node.op} {_to_sexpr(node.left)} {_to_sexpr(node.right)})"
 
 
 def tree_to_sexpr(tree: ExpressionTree) -> str:
-    return to_sexpr(tree.root)
+    return _to_sexpr(tree.root)
 
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")

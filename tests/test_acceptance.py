@@ -12,7 +12,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+import fusebench.gp as gp
 from fusebench.baselines import (
+    GA_PRESETS,
     GaConfig,
     fuse_classes,
     fuse_rule_matrix,
@@ -28,12 +30,11 @@ from fusebench.datasets import (
     split_dataset,
 )
 from fusebench.experiment import run_experiment, write_artifacts
-from fusebench.gp import EvolutionConfig, eval_population, evolve
+from fusebench.gp import EvolutionConfig, eval_population, evolve, fitness
 from fusebench.metrics import FusedScores, exact_eer, gain, sweep_roc
 from fusebench.normalization import TanhNormalizer, fit_tanh_normalizer
 from fusebench.trees import Func
 
-pytestmark = pytest.mark.filterwarnings("ignore:all fused scores are identical")
 
 SWEEP_ORACLE_TOL = 0.005       # criterion 1: grid EER vs exhaustive oracle
 SWEEP_ORACLE_BUDGET_S = 30.0
@@ -170,7 +171,7 @@ def test_criterion_3_normalization_properties_at_scale():
     )
 
 
-def test_criterion_4_full_scale_gp_closure_and_elitism():
+def test_criterion_4_full_scale_gp_closure_and_elitism(monkeypatch):
     """One full 500x50 evolution on a 6000-tuple 4-modality dataset: every
     tree ever created has a function root and depth <= 8, the per-generation
     best never rises, and the run finishes inside the wall-clock budget."""
@@ -184,16 +185,19 @@ def test_criterion_4_full_scale_gp_closure_and_elitism():
     root_violations = 0
     depth_violations = 0
 
-    def observer(tree):
+    def observed_fitness(tree, train):
+        # evolve scores every tree it creates exactly once, through gp.fitness
         nonlocal created, root_violations, depth_violations
         created += 1
         if not isinstance(tree.root, Func):
             root_violations += 1
         if tree.depth > cfg.max_depth:
             depth_violations += 1
+        return fitness(tree, train)
 
+    monkeypatch.setattr(gp, "fitness", observed_fitness)
     started = time.perf_counter()
-    result = evolve(ds, cfg, observer=observer)
+    result = evolve(ds, cfg)
     elapsed = time.perf_counter() - started
 
     bests = [st.best for st in result.history]
@@ -272,7 +276,8 @@ def test_criterion_6_tuned_weights_never_lose_to_equal_weights():
             genuine_means=(1.5, 1.1, 0.7),
         )
         train = normalized_split(ds).train
-        tuned = ga_tune_weights(train, GaConfig.desk_scale(seed)).best_individual
+        desk = GaConfig(seed=seed, **GA_PRESETS["desk"])
+        tuned = ga_tune_weights(train, desk).best_individual
         tuned_eer = sweep_roc(fuse_classes(partial(fuse_weighted_matrix, tuned), train)).eer
         sum_eer = sweep_roc(fuse_classes(partial(fuse_rule_matrix, "sum"), train)).eer
         worst_excess = max(worst_excess, tuned_eer - sum_eer)

@@ -7,6 +7,7 @@ import pytest
 
 from fusebench.baselines import (
     FIXED_RULES,
+    GA_PRESETS,
     GaConfig,
     evaluate_baselines,
     evaluate_fused_method,
@@ -180,8 +181,8 @@ class TestGeometricSelection:
 
 class TestGaConfig:
     def test_presets(self):
-        paper = GaConfig.paper_scale(seed=1)
-        desk = GaConfig.desk_scale(seed=1)
+        paper = GaConfig(seed=1, **GA_PRESETS["paper"])
+        desk = GaConfig(seed=1, **GA_PRESETS["desk"])
         assert (paper.population_size, paper.generations) == (5000, 500)
         assert (desk.population_size, desk.generations) == (200, 60)
         for cfg in (paper, desk):

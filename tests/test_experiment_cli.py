@@ -1,6 +1,7 @@
 """Experiment pipeline report/artifacts and the command-line interface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -21,8 +22,6 @@ from fusebench.experiment import (
 from fusebench.gp import EvolutionConfig, eval_population
 from fusebench.metrics import gain, sweep_roc
 from fusebench.trees import parse_sexpr
-
-pytestmark = pytest.mark.filterwarnings("ignore:all fused scores are identical")
 
 
 def small_components():
@@ -516,3 +515,45 @@ class TestCliEvalTree:
         ])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_hter_threshold_is_a_usage_error(
+        self, score_csv, gp_run, capsys, threshold
+    ):
+        out, _ = gp_run
+        capsys.readouterr()
+        code = main([
+            "eval-tree", "--tree", str(out / "gp_best_tree.txt"),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+            f"--hter-threshold={threshold}",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--hter-threshold must be finite" in captured.err
+
+    @pytest.mark.parametrize("sexpr, threshold", [
+        ("(add (const 0.2) (const 0.3))", 0.5),
+        # the constant is -0.0; the sweep's grid turns it into +0.0
+        ("(mul (const 0.0) (sub (const 0.0) (const 1.0)))", 0.0),
+    ])
+    def test_constant_tree_scores_chance_silently(
+        self, score_csv, gp_run, tmp_path, capsys, sexpr, threshold
+    ):
+        out, _ = gp_run
+        constant = tmp_path / "constant.txt"
+        constant.write_text(sexpr + "\n")
+        capsys.readouterr()
+        code = main([
+            "eval-tree", "--tree", str(constant),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        replay = json.loads(captured.out)
+        assert replay["eer"] == 0.5
+        assert replay["eer_threshold"] == threshold
+        assert math.copysign(1.0, replay["eer_threshold"]) == 1.0

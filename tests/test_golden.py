@@ -12,8 +12,6 @@ CHANGES.md records with its reason.
 
 import hashlib
 
-import pytest
-
 from fusebench import (
     EvolutionConfig,
     GaConfig,
@@ -23,7 +21,6 @@ from fusebench import (
     write_artifacts,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:all fused scores are identical")
 
 GOLDEN = {
     "gp_best_tree.txt": "5fedf5c3af8507d12c88266f8ffdeb66503c6586f2975de0f73726dae354c53b",

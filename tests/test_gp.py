@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fusebench.gp as gp
 from fusebench.datasets import ScoreDataset
 from fusebench.errors import ValidationError
 from fusebench.gp import (
@@ -181,8 +182,7 @@ class TestFitness:
 
     def test_constant_tree_scores_chance(self, tiny_dataset):
         constant = parse_sexpr("(add (const 0.2) (const 0.3))")
-        with pytest.warns(RuntimeWarning):
-            assert fitness(constant, tiny_dataset) == 0.5
+        assert fitness(constant, tiny_dataset) == 0.5
 
     def test_sum_tree_equals_sum_rule_eer(self, make_gaussian):
         ds = make_gaussian(seed=5, modalities=2)
@@ -361,9 +361,6 @@ class TestMutation:
         assert first == second
 
 
-# evolution legitimately breeds constant trees now and then; their chance-level
-# score arrives with a warning that is noise in this context
-@pytest.mark.filterwarnings("ignore:all fused scores are identical")
 class TestEvolve:
     def test_history_shape_and_monotone_best(self, make_gaussian):
         ds = make_gaussian(seed=2, modalities=2, genuine=60, impostor=120)
@@ -417,11 +414,17 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="degenerate"):
             evolve(flat, small_config())
 
-    def test_observer_sees_every_created_tree(self, make_gaussian):
+    def test_observer_sees_every_created_tree(self, make_gaussian, monkeypatch):
         ds = make_gaussian(seed=8, modalities=2, genuine=40, impostor=80)
         cfg = small_config(max_generations=3)
         seen = []
-        result = evolve(ds, cfg, observer=seen.append)
+
+        def observed_fitness(tree, train):
+            seen.append(tree)
+            return fitness(tree, train)
+
+        monkeypatch.setattr(gp, "fitness", observed_fitness)
+        result = evolve(ds, cfg)
         elite_count = max(1, round(cfg.p_reproduction * cfg.population_size))
         bred = len(result.history) - 1
         assert len(seen) == cfg.population_size + bred * (
