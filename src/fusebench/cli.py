@@ -129,6 +129,12 @@ def _check_negations(indices, modalities: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def _check_seed(seed: int) -> None:
+    """numpy's seeding rejects a negative seed; report it as a usage error."""
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def _load_or_usage_error(path, modalities, negate):
     try:
         return load_dataset(path, modalities, negate_modalities=negate)
@@ -137,6 +143,7 @@ def _load_or_usage_error(path, modalities, negate):
 
 
 def cmd_run(args) -> int:
+    _check_seed(args.seed)
     try:
         methods = select_methods(t.strip() for t in args.methods.split(",") if t.strip())
     except ValidationError as exc:
@@ -185,6 +192,7 @@ def _parse_float_list(text: str, modalities: int, flag: str) -> tuple[float, ...
 
 
 def cmd_gen_synth(args) -> int:
+    _check_seed(args.seed)
     modalities = args.modalities
     genuine_count = args.genuine_count
     impostor_count = args.impostor_count

@@ -20,10 +20,10 @@ The engine is a classic generational GP:
 of :mod:`fusebench.baselines`; the GP supplies its initial population and
 its breeding.
 
-Randomness discipline: one seed feeds a SeedSequence that spawns a child
-stream per generation (stream 0 initializes the population), so runs are
-bit-reproducible and fitness evaluation order can never perturb the
-stochastic decisions.
+Randomness discipline: generation g draws from child g of the seed's
+SeedSequence, derived when the generation starts (child 0 initializes the
+population), so runs are bit-reproducible and fitness evaluation order can
+never perturb the stochastic decisions.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ class EvolutionConfig:
         total = self.p_crossover + self.p_mutation + self.p_reproduction
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValidationError(f"operator probabilities sum to {total}, expected 1")
+        # evolve renormalizes these two odds over the non-elite slots
+        if self.p_crossover + self.p_mutation <= 0.0:
+            raise ValidationError("p_crossover + p_mutation must be > 0")
         if self.tournament_size < 1:
             raise ValidationError("tournament_size must be >= 1")
         if not 0.0 < self.tournament_p <= 1.0:
@@ -306,6 +309,11 @@ def check_score_spread(train: ScoreDataset) -> None:
         raise ValidationError("degenerate training set: every score is identical")
 
 
+def _generation_rng(seed: int, generation: int) -> np.random.Generator:
+    """Generation g's stream, the same as ``SeedSequence(seed).spawn(g + 1)[g]``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(generation,)))
+
+
 def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     """Run the GP's generational loop and return the best tree ever seen.
 
@@ -317,9 +325,7 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.max_generations + 1)
-
-    population = ramped_half_and_half(cfg, terminals, np.random.default_rng(streams[0]))
+    population = ramped_half_and_half(cfg, terminals, _generation_rng(cfg.seed, 0))
 
     elite_count = min(max(1, round(cfg.p_reproduction * cfg.population_size)),
                       cfg.population_size)
@@ -327,7 +333,7 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     p_cx = cfg.p_crossover / (cfg.p_crossover + cfg.p_mutation)
 
     def breed(generation, population, fitnesses, _order, count):
-        rng = np.random.default_rng(streams[generation])
+        rng = _generation_rng(cfg.seed, generation)
         children = []
         for _ in range(count):
             if rng.random() < p_cx:

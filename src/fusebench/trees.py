@@ -2,14 +2,15 @@
 
 A tree is built from binary function nodes (add, sub, mul, div, min, max,
 avg) over two terminal kinds: ``Var(m)``, the normalized score of modality
-m, and ``Const(v)``, a fixed real.  The root is always a function node so a
-fused score can never degenerate to a single untouched modality.
+m, and ``Const(v)``, a fixed real that must be finite.  The root is always
+a function node, so a fused score is never one untouched modality.
 
 Evaluation is total on finite inputs: division is protected (denominators
-within 1e-12 of zero yield 1.0) and every arithmetic node clamps its result
+within 1e-12 of zero yield 1.0) and add, sub, mul and div clamp their result
 to [-1e100, 1e100].  Since |a op b| for clamped operands stays below the
 float64 overflow threshold for every op in the set, no intermediate can
-reach infinity and no NaN can arise.
+reach infinity and no NaN can arise.  Constants, and subtrees without a
+variable, evaluate to floats that numpy broadcasts against the columns.
 
 Trees serialize to s-expressions such as ``(add (var 0) (const 0.5))`` and
 parse back exactly, up to ``MAX_TREE_DEPTH`` levels of nesting.
@@ -19,16 +20,36 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from .errors import SexprError, ValidationError
 
-FUNCTION_OPS = ("add", "sub", "mul", "div", "min", "max", "avg")
-
 DIV_EPSILON = 1e-12
 VALUE_CLAMP = 1e100
+
+
+def _protected_div(a, b):
+    """a / b, or 1.0 where |b| < DIV_EPSILON; either operand may be a float."""
+    out = np.ones(np.broadcast(a, b).shape)
+    np.divide(a, b, out=out, where=np.abs(b) >= DIV_EPSILON)
+    return out
+
+
+# The primitive set: each op name and its element-wise function.  The order
+# is part of a run's random stream, since GP draws ops from it by index.
+_OPS = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": _protected_div,
+    "min": np.minimum,
+    "max": np.maximum,
+    "avg": lambda a, b: (a + b) / 2.0,
+}
+FUNCTION_OPS = tuple(_OPS)
+# Only these ops can leave [-VALUE_CLAMP, VALUE_CLAMP] on operands inside it.
+_CLAMPED_OPS = frozenset({"add", "sub", "mul", "div"})
 # Deepest tree the parser accepts and GP may breed; comparing, printing and
 # evaluating recurse per level, so it sits well below the recursion limit.
 MAX_TREE_DEPTH = 200
@@ -39,6 +60,7 @@ class Var:
     """Terminal: the score of one modality (0-based column index)."""
 
     index: int
+    max_var: int = field(init=False, repr=False, compare=False)
 
     size = 1
     depth = 0
@@ -46,15 +68,12 @@ class Var:
     def __post_init__(self):
         if self.index < 0:
             raise ValidationError(f"variable index must be >= 0, got {self.index}")
-
-    @property
-    def max_var(self) -> int:
-        return self.index
+        object.__setattr__(self, "max_var", self.index)
 
 
 @dataclass(frozen=True)
 class Const:
-    """Terminal: a fixed real value."""
+    """Terminal: a fixed finite real value."""
 
     value: float
 
@@ -63,7 +82,10 @@ class Const:
     max_var = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if not np.isfinite(value):
+            raise ValidationError(f"constant must be finite, got {value!r}")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -83,14 +105,14 @@ class Func:
     max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.op not in FUNCTION_OPS:
+        if self.op not in _OPS:
             raise ValidationError(f"unknown operator {self.op!r}")
         object.__setattr__(self, "size", 1 + self.left.size + self.right.size)
         object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
         object.__setattr__(self, "max_var", max(self.left.max_var, self.right.max_var))
 
 
-Node = Union[Var, Const, Func]
+Node = Var | Const | Func
 
 
 def count_nodes(node: Node) -> int:
@@ -147,31 +169,15 @@ class ExpressionTree:
         return self.root.depth
 
 
-def _eval_node(node: Node, scores: np.ndarray) -> np.ndarray:
+def _eval_node(node: Node, scores: np.ndarray) -> np.ndarray | float:
     if isinstance(node, Var):
         return scores[:, node.index]
     if isinstance(node, Const):
-        return np.full(scores.shape[0], node.value)
-    a = _eval_node(node.left, scores)
-    b = _eval_node(node.right, scores)
-    op = node.op
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    elif op == "div":
-        safe = np.abs(b) >= DIV_EPSILON
-        out = np.ones_like(a)
-        np.divide(a, b, out=out, where=safe)
-    elif op == "min":
-        return np.minimum(a, b)
-    elif op == "max":
-        return np.maximum(a, b)
-    else:  # avg; cannot overflow on clamped operands
-        return (a + b) / 2.0
-    return np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+        return node.value
+    out = _OPS[node.op](_eval_node(node.left, scores), _eval_node(node.right, scores))
+    if node.op in _CLAMPED_OPS:
+        out = np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+    return out
 
 
 def evaluate_matrix(tree: ExpressionTree, scores) -> np.ndarray:
@@ -189,7 +195,10 @@ def evaluate_matrix(tree: ExpressionTree, scores) -> np.ndarray:
         raise ValidationError(
             f"tree references modality {needed} but data has {scores.shape[1]} modalities"
         )
-    return _eval_node(tree.root, np.clip(scores, -VALUE_CLAMP, VALUE_CLAMP))
+    fused = _eval_node(tree.root, np.clip(scores, -VALUE_CLAMP, VALUE_CLAMP))
+    if np.ndim(fused) == 0:
+        fused = np.full(scores.shape[0], fused)
+    return fused
 
 
 def _to_sexpr(node: Node) -> str:
@@ -207,54 +216,44 @@ def tree_to_sexpr(tree: ExpressionTree) -> str:
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
-def _parse_node(tokens: list[str], pos: int, level: int) -> tuple[Node, int]:
+def _next_token(tokens, expected: str | None = None) -> str:
+    token = next(tokens, None)
+    if token is None:
+        raise SexprError("unexpected end of expression")
+    if expected is not None and token != expected:
+        raise SexprError(f"expected {expected!r} but found {token!r}")
+    return token
+
+
+def _parse_node(tokens, level: int) -> Node:
+    """The node whose '(' is the next token; consumes through its ')'."""
     if level > MAX_TREE_DEPTH:
         raise SexprError(f"expression nests deeper than {MAX_TREE_DEPTH} levels")
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of expression")
-    if tokens[pos] != "(":
-        raise SexprError(f"expected '(' but found {tokens[pos]!r}")
-    pos += 1
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of expression after '('")
-    head = tokens[pos]
-    pos += 1
-    if head == "var":
-        if pos >= len(tokens):
-            raise SexprError("missing variable index")
+    _next_token(tokens, "(")
+    head = _next_token(tokens)
+    if head in ("var", "const"):
+        operand = _next_token(tokens)
         try:
-            node: Node = Var(int(tokens[pos]))
+            node: Node = Var(int(operand)) if head == "var" else Const(float(operand))
         except ValueError:
-            raise SexprError(f"bad variable index {tokens[pos]!r}") from None
-        pos += 1
-    elif head == "const":
-        if pos >= len(tokens):
-            raise SexprError("missing constant value")
-        try:
-            node = Const(float(tokens[pos]))
-        except ValueError:
-            raise SexprError(f"bad constant value {tokens[pos]!r}") from None
-        pos += 1
-    elif head in FUNCTION_OPS:
-        left, pos = _parse_node(tokens, pos, level + 1)
-        right, pos = _parse_node(tokens, pos, level + 1)
+            raise SexprError(f"bad {head} operand {operand!r}") from None
+    elif head in _OPS:
+        left = _parse_node(tokens, level + 1)
+        right = _parse_node(tokens, level + 1)
         node = Func(head, left, right)
     else:
         raise SexprError(f"unknown operator {head!r}")
-    if pos >= len(tokens) or tokens[pos] != ")":
-        found = tokens[pos] if pos < len(tokens) else "end of expression"
-        raise SexprError(f"expected ')' but found {found!r}")
-    return node, pos + 1
+    _next_token(tokens, ")")
+    return node
 
 
 def parse_sexpr(text: str) -> ExpressionTree:
     """Parse an s-expression into a tree; inverse of :func:`tree_to_sexpr`."""
-    tokens = _TOKEN_RE.findall(text)
-    if not tokens:
-        raise SexprError("empty expression")
-    node, pos = _parse_node(tokens, 0, 0)
-    if pos != len(tokens):
-        raise SexprError(f"trailing input starting at {tokens[pos]!r}")
+    tokens = iter(_TOKEN_RE.findall(text))
+    node = _parse_node(tokens, 0)
+    trailing = next(tokens, None)
+    if trailing is not None:
+        raise SexprError(f"trailing input starting at {trailing!r}")
     if not isinstance(node, Func):
         raise SexprError("root must be a function application, not a terminal")
     return ExpressionTree(node)

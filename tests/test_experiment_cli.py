@@ -366,6 +366,18 @@ class TestCliRun:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "gen-synth"])
+    def test_negative_seed_is_a_usage_error(self, score_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = {
+            "run": ["--input", str(score_csv), "--modalities", "3", "--methods", "sum"],
+            "gen-synth": ["--shape", "banca"],
+        }[command]
+        code = main([command, *args, "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flags_exit_through_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--modalities", "3"])  # --input and --out missing
@@ -532,6 +544,27 @@ class TestCliEvalTree:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--hter-threshold must be finite" in captured.err
+
+    @pytest.mark.parametrize("sexpr", [
+        "(mul (const inf) (const 0.0))",
+        "(add (var 0) (const nan))",
+    ])
+    def test_non_finite_constant_is_a_data_error(
+        self, score_csv, gp_run, tmp_path, capsys, sexpr
+    ):
+        out, _ = gp_run
+        bad = tmp_path / "bad.txt"
+        bad.write_text(sexpr + "\n")
+        capsys.readouterr()
+        code = main([
+            "eval-tree", "--tree", str(bad),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "constant must be finite" in captured.err
 
     @pytest.mark.parametrize("sexpr, threshold", [
         ("(add (const 0.2) (const 0.3))", 0.5),

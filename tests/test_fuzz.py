@@ -3,6 +3,7 @@ normalization params document.  Whatever the input, the only allowed
 outcomes are a result or a ``FusebenchError``; anything else is a crash."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 from fusebench.datasets import ScoreDataset, load_dataset
 from fusebench.errors import FusebenchError
 from fusebench.normalization import TanhNormalizer, normalizer_from_json
-from fusebench.trees import FUNCTION_OPS, ExpressionTree, parse_sexpr, tree_to_sexpr
+from fusebench.trees import (
+    FUNCTION_OPS,
+    ExpressionTree,
+    evaluate_matrix,
+    parse_sexpr,
+    tree_to_sexpr,
+)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -66,6 +73,12 @@ def test_load_dataset_returns_a_dataset_or_a_fusebench_error(
     assert np.all(np.isfinite(ds.genuine)) and np.all(np.isfinite(ds.impostor))
 
 
+# finite scores that include zeros, ties and the extremes of float64
+_FUZZ_SCORES = np.array([
+    [0.0, 0.5, -1.0, 1e300],
+    [1.0, 0.0, 0.0, -1e300],
+    [-3.5, 2.0, 1e-300, 0.0],
+])
 _SEXPR_TOKENS = st.sampled_from(
     ["(", ")", "(", ")", "var", "const", *FUNCTION_OPS, "pow", "0", "1", "3",
      "-1", "2.5", "1e400", "nan", "-inf", "9" * 5000, " ", "\n", "\udce9"]
@@ -84,6 +97,12 @@ def test_parse_sexpr_returns_a_tree_or_a_fusebench_error(text):
         return
     assert isinstance(tree, ExpressionTree)
     assert tree_to_sexpr(parse_sexpr(tree_to_sexpr(tree))) == tree_to_sexpr(tree)
+    if tree.root.max_var < _FUZZ_SCORES.shape[1]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = evaluate_matrix(tree, _FUZZ_SCORES)
+        assert fused.shape == (_FUZZ_SCORES.shape[0],)
+        assert np.all(np.isfinite(fused))
 
 
 _JSON_SCALARS = st.one_of(

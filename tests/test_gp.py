@@ -112,6 +112,8 @@ class TestConfig:
             dict(tournament_p=1.2),
             dict(n_constants=1),
             dict(fitness_target=-0.5),
+            # no breeding odds left for the non-elite slots
+            dict(p_crossover=0.0, p_mutation=0.0, p_reproduction=1.0),
         ],
     )
     def test_rejects_inconsistent_settings(self, overrides):

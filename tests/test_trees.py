@@ -107,6 +107,19 @@ class TestProtectedDivision:
         spread = "(div (sub (var 0) (var 1)) (sub (var 0) (var 1)))"
         assert fused(spread, [(0.7, 0.7)]) == [1.0]
 
+    @pytest.mark.parametrize("text", [
+        "(div (var 0) (sub (const 0.5) (const 0.5)))",
+        "(div (const 1.0) (var 0))",
+        "(div (const 3.0) (const 0.0))",
+    ])
+    def test_variable_free_operands_broadcast(self, text):
+        """A variable-free operand evaluates to a float; the quotient is
+        still one protected value per row."""
+        out = evaluate_matrix(tree(text), np.zeros((5, 2)))
+        assert out.shape == (5,)
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0] * 5
+
 
 class TestClamping:
     def test_products_cap_at_the_clamp(self):
@@ -190,6 +203,9 @@ class TestStructure:
             Var(-1)
         with pytest.raises(ValidationError):
             Func("hypot", Var(0), Var(1))
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="finite"):
+                Const(value)
 
 
 class TestExpressionTree:
@@ -287,3 +303,8 @@ class TestSexpr:
     def test_negative_variable_index_fails_validation(self):
         with pytest.raises(ValidationError):
             parse_sexpr("(add (var -1) (var 0))")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_constant_fails_validation(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_sexpr(f"(add (var 0) (const {value}))")
