@@ -17,6 +17,7 @@ from .datasets import (
     ScoreDataset,
     SplitPair,
     SyntheticSpec,
+    fuse_classes,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -35,7 +36,6 @@ from .gp import (
     EvolutionConfig,
     EvolutionResult,
     GenerationStats,
-    eval_population,
     evolve,
     fitness,
     terminal_set,
@@ -78,12 +78,12 @@ __all__ = [
     "ValidationError",
     "Var",
     "auc",
-    "eval_population",
     "evaluate_baselines",
     "evolve",
     "exact_eer",
     "fit_tanh_normalizer",
     "fitness",
+    "fuse_classes",
     "ga_tune_weights",
     "gain",
     "generate_synthetic",

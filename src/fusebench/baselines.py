@@ -4,8 +4,8 @@ These are the comparison bar for the evolved trees: the fixed sum, min and
 product rules, per-modality single-matcher projections, and a weighted sum
 whose weights a real-coded genetic algorithm tunes to minimize training
 EER.  Every method is a row-wise fusion of a normalized score matrix into
-one fused score per row, and :func:`fuse_classes` applies one to both
-classes of a dataset.
+one fused score per row, and :func:`fusebench.datasets.fuse_classes`
+applies one to both classes of a dataset in one call.
 
 The weighted sum is computed as ``(scores * w).sum(axis=1)`` so that the
 all-ones weight vector reproduces the plain sum rule bit-for-bit (same
@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .datasets import ScoreDataset, SplitPair
+from .datasets import ScoreDataset, SplitPair, fuse_classes
 from .errors import ValidationError
 from .gp import EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_roc
@@ -57,6 +57,8 @@ class GaConfig:
     p_mutation: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if self.generations < 1:
@@ -112,11 +114,6 @@ def fuse_weighted_matrix(weights, scores) -> np.ndarray:
             f"weight length {w.size} does not match matrix shape {scores.shape}"
         )
     return (scores * w).sum(axis=1)
-
-
-def fuse_classes(fuse, ds: ScoreDataset) -> FusedScores:
-    """Apply a row-wise fusion ``matrix -> vector`` to both classes of ``ds``."""
-    return FusedScores(fuse(ds.genuine), fuse(ds.impostor))
 
 
 def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
@@ -208,18 +205,19 @@ def evaluate_baselines(
 
     Emits one row per single modality (s1..sn), one per fixed rule named in
     ``rules``, and, when ``ga_config`` is given, the GA-tuned weighted sum.
+    The GA runs last, so an unknown rule name fails before it starts.
     """
+    def evaluate(name, fuse):
+        return evaluate_fused_method(
+            name, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation))
+
     fusions = [(f"s{m + 1}", lambda scores, m=m: scores[:, m])
                for m in range(split.train.modality_count)]
     fusions += [(rule, partial(fuse_rule_matrix, rule)) for rule in rules]
+    results = [evaluate(name, fuse) for name, fuse in fusions]
     ga_result = None
     if ga_config is not None:
         ga_result = ga_tune_weights(split.train, ga_config)
-        fusions.append(("weight", partial(fuse_weighted_matrix, ga_result.best_individual)))
-    results = tuple(
-        evaluate_fused_method(
-            name, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation)
-        )
-        for name, fuse in fusions
-    )
-    return BaselineReport(results, ga_result)
+        results.append(evaluate("weight", partial(fuse_weighted_matrix,
+                                                  ga_result.best_individual)))
+    return BaselineReport(tuple(results), ga_result)

@@ -17,11 +17,13 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .baselines import GA_PRESETS
 from .datasets import (
     SyntheticSpec,
+    fuse_classes,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -34,10 +36,9 @@ from .experiment import (
     select_methods,
     write_artifacts,
 )
-from .gp import eval_population
 from .metrics import auc, hter, sweep_roc
 from .normalization import normalizer_from_json
-from .trees import parse_sexpr
+from .trees import evaluate_matrix, parse_sexpr
 
 
 class UsageError(FusebenchError):
@@ -243,7 +244,7 @@ def cmd_eval_tree(args) -> int:
         ds = pair.train if args.split == "train" else pair.validation
     normalized = normalizer.transform_dataset(ds)
 
-    fused = eval_population(tree, normalized)
+    fused = fuse_classes(partial(evaluate_matrix, tree), normalized)
     curve = sweep_roc(fused)
     threshold = args.hter_threshold
     if threshold is None:

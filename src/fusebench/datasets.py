@@ -9,26 +9,32 @@ genuine); matchers that emit distances can be flipped per modality at load
 time.
 
 Datasets are immutable once constructed and keep rows in ingestion order,
-which the half/half splitting protocol relies on.
+which the half/half splitting protocol relies on.  Each stores one stacked
+C-order ``scores`` matrix, genuine rows first, and :func:`fuse_classes`
+fuses both classes in one call over it.  C-order keeps each row's values
+contiguous, so a row-wise reduction sums them in the order it would per
+class; over a Fortran-order matrix the weighted sum's bits change from 8
+modalities up.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ScoreFileError, ValidationError
+from .metrics import FusedScores
 
 _LABELS = ("genuine", "impostor")
 
 
 def _as_score_matrix(values, modality_count: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != modality_count:
         raise ValidationError(
             f"{what} scores must form an (n, {modality_count}) matrix, "
@@ -38,7 +44,6 @@ def _as_score_matrix(values, modality_count: int, what: str) -> np.ndarray:
         raise ValidationError(f"dataset has no {what} tuples")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"non-finite value among {what} scores")
-    arr.setflags(write=False)
     return arr
 
 
@@ -46,26 +51,29 @@ def _as_score_matrix(values, modality_count: int, what: str) -> np.ndarray:
 class ScoreDataset:
     """Labeled multibiometric score collection.
 
-    Scores are stored as two read-only float64 matrices (one column per
-    modality, one row per comparison event).  Row order is ingestion order.
+    ``scores`` is one read-only float64 matrix (one column per modality,
+    one row per comparison event, genuine rows first, ingestion order);
+    ``genuine`` and ``impostor`` are row views of it.
     """
 
     modality_count: int
     genuine: np.ndarray
     impostor: np.ndarray
     name: str = ""
+    scores: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.modality_count < 2:
             raise ValidationError("a dataset needs at least two modalities")
-        object.__setattr__(
-            self, "genuine",
-            _as_score_matrix(self.genuine, self.modality_count, "genuine"),
-        )
-        object.__setattr__(
-            self, "impostor",
-            _as_score_matrix(self.impostor, self.modality_count, "impostor"),
-        )
+        genuine = _as_score_matrix(self.genuine, self.modality_count, "genuine")
+        impostor = _as_score_matrix(self.impostor, self.modality_count, "impostor")
+        n = genuine.shape[0]
+        # one copy for C-order input; concatenate keeps a Fortran-order layout
+        scores = np.ascontiguousarray(np.concatenate([genuine, impostor]))
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "genuine", scores[:n])
+        object.__setattr__(self, "impostor", scores[n:])
 
     @property
     def genuine_count(self) -> int:
@@ -74,6 +82,13 @@ class ScoreDataset:
     @property
     def impostor_count(self) -> int:
         return self.impostor.shape[0]
+
+
+def fuse_classes(fuse, ds: ScoreDataset) -> FusedScores:
+    """Apply a row-wise fusion ``matrix -> vector`` to every tuple of ``ds``
+    in one call, then split the fused vector back into its two classes."""
+    fused = fuse(ds.scores)
+    return FusedScores(fused[:ds.genuine_count], fused[ds.genuine_count:])
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,8 @@ class SyntheticSpec:
                 raise ValidationError(f"all {field} must be strictly positive")
         if self.genuine_count < 1 or self.impostor_count < 1:
             raise ValidationError("genuine_count and impostor_count must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_row(path, line_no: int, row: list[str],
@@ -204,10 +221,9 @@ def dataset_to_csv(ds: ScoreDataset) -> str:
 
     Float cells use ``repr`` so a load/save round trip is byte-exact.
     """
-    lines = []
-    for matrix, label in ((ds.genuine, "genuine"), (ds.impostor, "impostor")):
-        for row in matrix.tolist():
-            lines.append(",".join(repr(v) for v in row) + f",{label}")
+    labels = ["genuine"] * ds.genuine_count + ["impostor"] * ds.impostor_count
+    lines = (",".join(map(repr, row)) + f",{label}"
+             for row, label in zip(ds.scores.tolist(), labels))
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -37,14 +38,15 @@ from .baselines import (
     evaluate_baselines,
     evaluate_fused_method,
 )
-from .datasets import ScoreDataset, SplitPair, split_dataset
+from . import gp
+from .datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
 from .errors import UndefinedGainError, ValidationError
-from .gp import EvolutionConfig, EvolutionResult, eval_population, evolve, history_to_csv
+from .gp import EvolutionConfig, EvolutionResult, evolve, history_to_csv
 from .metrics import gain, roc_to_csv
 from .normalization import fit_tanh_normalizer, normalizer_to_json
 from .trees import tree_to_sexpr
 
-FUSION_METHODS = ("sum", "min", "mul", "weight", "gp")
+FUSION_METHODS = (*FIXED_RULES, "weight", "gp")
 # the names of every file run_experiment can emit (see write_artifacts)
 ARTIFACT_PATTERNS = ("report.json", "normalization.json", "roc_*.csv",
                      "gp_*.csv", "gp_*.txt")
@@ -64,6 +66,8 @@ class ExperimentResult:
 
 def derive_component_seeds(seed: int) -> tuple[int, int]:
     """Deterministic (ga_seed, gp_seed) pair from the experiment seed."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     return int(state[0]), int(state[1])
 
@@ -134,13 +138,10 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     gp_result = None
     if "gp" in methods:
         gp_result = evolve(train, gp_config)
-        rows.append(
-            evaluate_fused_method(
-                "gp",
-                eval_population(gp_result.best_individual, train),
-                eval_population(gp_result.best_individual, validation),
-            )
-        )
+        # read through gp, as gp.fitness does, so a wrapper of it sees this row too
+        fuse = partial(gp.evaluate_matrix, gp_result.best_individual)
+        rows.append(evaluate_fused_method(
+            "gp", fuse_classes(fuse, train), fuse_classes(fuse, validation)))
 
     results = {}
     for row in rows:

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .datasets import ScoreDataset
+from .datasets import ScoreDataset, fuse_classes
 from .errors import ValidationError
-from .metrics import FusedScores, sweep_roc
+from .metrics import sweep_roc
 from .trees import (
     FUNCTION_OPS,
     MAX_TREE_DEPTH,
@@ -71,6 +72,8 @@ class EvolutionConfig:
     fitness_target: float = 0.001
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if self.max_generations < 1:
@@ -133,17 +136,9 @@ def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
     return variables + constants
 
 
-def eval_population(tree: ExpressionTree, ds: ScoreDataset) -> FusedScores:
-    """Fuse every tuple of the dataset through the tree, order-preserving."""
-    return FusedScores(
-        evaluate_matrix(tree, ds.genuine),
-        evaluate_matrix(tree, ds.impostor),
-    )
-
-
 def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
     """Sweep EER of the tree's fused scores; lower is better."""
-    return sweep_roc(eval_population(tree, ds)).eer
+    return sweep_roc(fuse_classes(partial(evaluate_matrix, tree), ds)).eer
 
 
 def _random_terminal(terminals, rng) -> Node:
@@ -303,9 +298,7 @@ def generational_search(population: list, score, breed, generations: int,
 
 def check_score_spread(train: ScoreDataset) -> None:
     """Reject a training set whose scores are all identical."""
-    lo = min(train.genuine.min(), train.impostor.min())
-    hi = max(train.genuine.max(), train.impostor.max())
-    if lo == hi:
+    if train.scores.min() == train.scores.max():
         raise ValidationError("degenerate training set: every score is identical")
 
 

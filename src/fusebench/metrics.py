@@ -70,18 +70,6 @@ class RocCurve:
             raise ValidationError("threshold/FAR/FRR arrays must align")
 
 
-def far_at(impostor, threshold: float) -> float:
-    """Fraction of impostor scores accepted (>= threshold)."""
-    impostor = np.asarray(impostor, dtype=np.float64)
-    return float(np.count_nonzero(impostor >= threshold) / impostor.size)
-
-
-def frr_at(genuine, threshold: float) -> float:
-    """Fraction of genuine scores rejected (< threshold)."""
-    genuine = np.asarray(genuine, dtype=np.float64)
-    return float(np.count_nonzero(genuine < threshold) / genuine.size)
-
-
 def _counts_at(fs: FusedScores, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer (impostors >= t, genuines < t) counts per threshold.
 
@@ -141,7 +129,10 @@ def exact_eer(fs: FusedScores) -> float:
 
 def hter(fs: FusedScores, threshold: float) -> float:
     """Half total error rate at one fixed, externally chosen threshold."""
-    return (far_at(fs.impostor, threshold) + frr_at(fs.genuine, threshold)) / 2.0
+    if np.isnan(threshold):
+        raise ValidationError("HTER threshold must not be NaN")
+    imp_ge, gen_lt = _counts_at(fs, np.array([threshold], dtype=np.float64))
+    return float((imp_ge[0] / fs.impostor.size + gen_lt[0] / fs.genuine.size) / 2.0)
 
 
 def auc(curve: RocCurve) -> float:

@@ -69,12 +69,9 @@ class TanhNormalizer:
             return 0.5 * (np.tanh((scores - mu) / (100.0 * sigma)) + 1.0)
 
     def transform_dataset(self, ds: ScoreDataset) -> ScoreDataset:
-        return ScoreDataset(
-            ds.modality_count,
-            self.transform_matrix(ds.genuine),
-            self.transform_matrix(ds.impostor),
-            name=ds.name,
-        )
+        scores = self.transform_matrix(ds.scores)
+        return ScoreDataset(ds.modality_count, scores[:ds.genuine_count],
+                            scores[ds.genuine_count:], name=ds.name)
 
 
 def fit_tanh_normalizer(train: ScoreDataset) -> TanhNormalizer:

@@ -16,7 +16,6 @@ import fusebench.gp as gp
 from fusebench.baselines import (
     GA_PRESETS,
     GaConfig,
-    fuse_classes,
     fuse_rule_matrix,
     fuse_weighted_matrix,
     ga_tune_weights,
@@ -24,16 +23,17 @@ from fusebench.baselines import (
 from fusebench.datasets import (
     SplitPair,
     SyntheticSpec,
+    fuse_classes,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_dataset,
 )
 from fusebench.experiment import run_experiment, write_artifacts
-from fusebench.gp import EvolutionConfig, eval_population, evolve, fitness
+from fusebench.gp import EvolutionConfig, evolve, fitness
 from fusebench.metrics import FusedScores, exact_eer, gain, sweep_roc
 from fusebench.normalization import TanhNormalizer, fit_tanh_normalizer
-from fusebench.trees import Func
+from fusebench.trees import Func, evaluate_matrix
 
 
 SWEEP_ORACLE_TOL = 0.005       # criterion 1: grid EER vs exhaustive oracle
@@ -249,9 +249,9 @@ def test_criterion_5_evolved_trees_beat_singles_and_track_the_sum_rule():
 
         cfg = EvolutionConfig(seed=seed, population_size=300, max_generations=25)
         result = evolve(normalized.train, cfg)
-        gp_val = sweep_roc(
-            eval_population(result.best_individual, normalized.validation)
-        ).eer
+        gp_val = sweep_roc(fuse_classes(
+            partial(evaluate_matrix, result.best_individual), normalized.validation
+        )).eer
 
         seed_ok = gp_val <= min(single_vals) and gp_val <= sum_val + GP_VS_SUM_TOL
         passed = passed and seed_ok
@@ -336,7 +336,7 @@ def test_criterion_8_eer_is_invariant_under_exp_warping():
             max_depth=6, init_depth_min=2, init_depth_max=4, n_constants=8,
         )
         result = evolve(train, cfg)
-        fused = eval_population(result.best_individual, train)
+        fused = fuse_classes(partial(evaluate_matrix, result.best_individual), train)
         magnitude = max(np.abs(fused.genuine).max(), np.abs(fused.impostor).max())
         assert magnitude < 700.0, "fixture drifted: exp() would overflow"
         warped = FusedScores(np.exp(fused.genuine), np.exp(fused.impostor))

@@ -5,22 +5,23 @@ from functools import partial
 import numpy as np
 import pytest
 
+import fusebench.baselines as baselines
 from fusebench.baselines import (
     FIXED_RULES,
     GA_PRESETS,
     GaConfig,
     evaluate_baselines,
     evaluate_fused_method,
-    fuse_classes,
     fuse_rule_matrix,
     fuse_weighted_matrix,
     ga_tune_weights,
     geometric_selection_probs,
 )
-from fusebench.datasets import ScoreDataset, SplitPair, split_dataset
+from fusebench.datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
 from fusebench.errors import ValidationError
-from fusebench.metrics import FusedScores, auc, far_at, frr_at, sweep_roc
+from fusebench.metrics import FusedScores, auc, sweep_roc
 from fusebench.normalization import fit_tanh_normalizer
+from oracles import naive_far, naive_frr
 
 
 def tiny_ga_config(**overrides):
@@ -301,8 +302,8 @@ class TestEvaluateFusedMethod:
         assert row.train_eer == train_curve.eer
         assert row.train_eer_threshold == train_curve.eer_threshold
         expected_hter = (
-            far_at(validation_fs.impostor, train_curve.eer_threshold)
-            + frr_at(validation_fs.genuine, train_curve.eer_threshold)
+            naive_far(validation_fs.impostor, train_curve.eer_threshold)
+            + naive_frr(validation_fs.genuine, train_curve.eer_threshold)
         ) / 2
         assert row.validation_hter == expected_hter
         assert row.validation_auc == auc(sweep_roc(validation_fs))
@@ -359,3 +360,13 @@ class TestEvaluateBaselines:
         split = normalized_split(make_gaussian(seed=44, modalities=2))
         with pytest.raises(ValidationError, match="unknown rule"):
             evaluate_baselines(split, rules=("sum", "median"))
+
+    def test_unknown_rule_name_is_rejected_before_the_ga_runs(
+            self, make_gaussian, monkeypatch):
+        def ga_must_not_run(*_args):
+            raise AssertionError("the GA ran before the rule names were checked")
+
+        monkeypatch.setattr(baselines, "ga_tune_weights", ga_must_not_run)
+        split = normalized_split(make_gaussian(seed=44, modalities=2))
+        with pytest.raises(ValidationError, match="unknown rule 'median'"):
+            evaluate_baselines(split, ga_config=tiny_ga_config(), rules=("median",))

@@ -1,21 +1,27 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fusebench.baselines import FIXED_RULES, fuse_rule_matrix, fuse_weighted_matrix
 from fusebench.datasets import (
     ScoreDataset,
     SyntheticSpec,
     dataset_to_csv,
+    fuse_classes,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_dataset,
 )
 from fusebench.errors import ScoreFileError, ValidationError
+from fusebench.gp import EvolutionConfig, ramped_half_and_half, terminal_set
 from fusebench.metrics import FusedScores, exact_eer
+from fusebench.trees import evaluate_matrix
 
 
 def write(tmp_path, text, name="scores.csv"):
@@ -280,3 +286,41 @@ class TestTypes:
         ds = ScoreDataset(2, source, [[0.1, 0.1]])
         source[0, 0] = 99.0
         assert ds.genuine[0, 0] == 0.5
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestStackedScores:
+    @pytest.mark.parametrize("modalities", [2, 5, 8, 12])
+    def test_one_stacked_call_matches_one_call_per_class_bitwise(self, modalities):
+        # each class is fused apart as the C-order array it was given; from 8
+        # modalities up a Fortran-order stacked matrix sums rows in another order
+        rng = np.random.default_rng(modalities)
+        genuine = rng.uniform(0.0, 1.0, (37, modalities))
+        impostor = rng.uniform(0.0, 1.0, (211, modalities))
+        ds = ScoreDataset(modalities, genuine, impostor)
+        fusions = [partial(fuse_weighted_matrix, rng.uniform(-10.0, 10.0, modalities))]
+        fusions += [partial(fuse_rule_matrix, rule) for rule in FIXED_RULES]
+        cfg = EvolutionConfig(seed=0, population_size=14)
+        trees = ramped_half_and_half(cfg, terminal_set(modalities, 50), rng)
+        fusions += [partial(evaluate_matrix, tree) for tree in trees]
+        for fuse in fusions:
+            stacked = fuse_classes(fuse, ds)
+            apart = FusedScores(fuse(genuine), fuse(impostor))
+            assert np.array_equal(bits(stacked.genuine), bits(apart.genuine))
+            assert np.array_equal(bits(stacked.impostor), bits(apart.impostor))
+
+    def test_scores_is_one_read_only_c_order_matrix(self):
+        genuine = np.asfortranarray([[0.9, 0.8], [0.7, 0.6]])
+        impostor = np.asfortranarray([[0.1, 0.2], [0.3, 0.4], [0.5, 0.0]])
+        ds = ScoreDataset(2, genuine, impostor)
+        assert ds.scores.flags.c_contiguous and not ds.scores.flags.writeable
+        with pytest.raises(ValueError):
+            ds.scores[0, 0] = 99.0
+        assert ds.genuine.base is ds.scores and ds.impostor.base is ds.scores
+        np.testing.assert_array_equal(ds.scores[:2], genuine)
+        np.testing.assert_array_equal(ds.scores[2:], impostor)
+        np.testing.assert_array_equal(ds.genuine, genuine)
+        np.testing.assert_array_equal(ds.impostor, impostor)

@@ -3,13 +3,14 @@
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fusebench.baselines import GaConfig
 from fusebench.cli import main
-from fusebench.datasets import load_dataset
+from fusebench.datasets import SyntheticSpec, load_dataset
 from fusebench.errors import ValidationError
 from fusebench.experiment import (
     FUSION_METHODS,
@@ -19,7 +20,7 @@ from fusebench.experiment import (
     select_methods,
     write_artifacts,
 )
-from fusebench.gp import EvolutionConfig, eval_population
+from fusebench.gp import EvolutionConfig
 from fusebench.metrics import gain, sweep_roc
 from fusebench.trees import parse_sexpr
 
@@ -63,6 +64,18 @@ class TestComponentSeeds:
         assert first == derive_component_seeds(42)
         assert first[0] != first[1]
         assert derive_component_seeds(43) != first
+
+    @pytest.mark.parametrize("build", [
+        lambda ds: EvolutionConfig(seed=-1),
+        lambda ds: GaConfig(seed=-1),
+        lambda ds: SyntheticSpec(2, (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0),
+                                 genuine_count=5, impostor_count=5, seed=-1),
+        lambda ds: run_experiment(ds, methods=("sum",), seed=-1),
+    ], ids=["EvolutionConfig", "GaConfig", "SyntheticSpec", "run_experiment"])
+    def test_negative_seed_is_a_validation_error(self, build, tiny_dataset):
+        # numpy's seeding would reject it later, outside FusebenchError
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            build(tiny_dataset)
 
 
 class TestRunExperiment:
@@ -174,13 +187,15 @@ class TestRunExperiment:
     def test_gp_validation_numbers_replay_outside_the_pipeline(self, make_gaussian):
         ds = make_gaussian(seed=60, modalities=2, genuine=40, impostor=80)
         result = run_small(ds, methods=("gp",))
-        from fusebench.datasets import SplitPair, split_dataset
+        from fusebench.datasets import SplitPair, fuse_classes, split_dataset
         from fusebench.normalization import fit_tanh_normalizer
+        from fusebench.trees import evaluate_matrix
 
         split = split_dataset(ds)
         norm = fit_tanh_normalizer(split.train)
         validation = norm.transform_dataset(split.validation)
-        replayed = sweep_roc(eval_population(result.gp_result.best_individual, validation))
+        tree = result.gp_result.best_individual
+        replayed = sweep_roc(fuse_classes(partial(evaluate_matrix, tree), validation))
         assert replayed.eer == result.report["results"]["gp"]["validation_eer"]
 
 

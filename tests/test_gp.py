@@ -1,16 +1,17 @@
 """GP engine: initialization, selection, variation operators, evolution loop."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import fusebench.gp as gp
-from fusebench.datasets import ScoreDataset
+from fusebench.datasets import ScoreDataset, fuse_classes
 from fusebench.errors import ValidationError
 from fusebench.gp import (
     EvolutionConfig,
     GenerationStats,
     crossover,
-    eval_population,
     evolve,
     fitness,
     generational_search,
@@ -27,6 +28,7 @@ from fusebench.trees import (
     ExpressionTree,
     Func,
     Var,
+    evaluate_matrix,
     parse_sexpr,
 )
 from oracles import naive_eval, naive_preorder
@@ -171,9 +173,9 @@ class TestInitialization:
 
 
 class TestFitness:
-    def test_eval_population_matches_per_tuple_loop(self, tiny_dataset):
+    def test_fused_scores_match_per_tuple_loop(self, tiny_dataset):
         tree = parse_sexpr("(avg (var 0) (mul (var 1) (const 0.75)))")
-        fs = eval_population(tree, tiny_dataset)
+        fs = fuse_classes(partial(evaluate_matrix, tree), tiny_dataset)
         for row, fused in zip(tiny_dataset.genuine.tolist(), fs.genuine):
             assert naive_eval(tree.root, row) == fused
         for row, fused in zip(tiny_dataset.impostor.tolist(), fs.impostor):

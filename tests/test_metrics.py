@@ -12,8 +12,6 @@ from fusebench.metrics import (
     RocCurve,
     auc,
     exact_eer,
-    far_at,
-    frr_at,
     gain,
     hter,
     roc_to_csv,
@@ -33,27 +31,37 @@ def random_scores(seed, n_genuine=40, n_impostor=60, separation=1.0, decimals=No
     return FusedScores(genuine, impostor)
 
 
+def far_by_hter(impostor, threshold):
+    """FAR read through hter: a genuine score above every threshold adds no FRR."""
+    return 2 * hter(FusedScores([1e300], impostor), threshold)
+
+
+def frr_by_hter(genuine, threshold):
+    """FRR read through hter: an impostor score below every threshold adds no FAR."""
+    return 2 * hter(FusedScores(genuine, [-1e300]), threshold)
+
+
 class TestRateConventions:
     def test_far_counts_scores_at_threshold_as_accepted(self):
         # >= convention: a score exactly at the threshold is an acceptance
-        assert far_at([0.1, 0.5, 0.5, 0.9], 0.5) == 0.75
+        assert far_by_hter([0.1, 0.5, 0.5, 0.9], 0.5) == 0.75
 
     def test_frr_rejects_strictly_below_threshold(self):
-        assert frr_at([0.2, 0.5, 0.8], 0.5) == pytest.approx(1 / 3)
-        assert frr_at([0.5, 0.5], 0.5) == 0.0
+        assert frr_by_hter([0.2, 0.5, 0.8], 0.5) == pytest.approx(1 / 3)
+        assert frr_by_hter([0.5, 0.5], 0.5) == 0.0
 
     def test_extreme_thresholds(self):
         scores = [0.3, 0.6, 0.9]
-        assert far_at(scores, -10.0) == 1.0
-        assert far_at(scores, 10.0) == 0.0
-        assert frr_at(scores, -10.0) == 0.0
-        assert frr_at(scores, 10.0) == 1.0
+        assert far_by_hter(scores, -10.0) == 1.0
+        assert far_by_hter(scores, 10.0) == 0.0
+        assert frr_by_hter(scores, -10.0) == 0.0
+        assert frr_by_hter(scores, 10.0) == 1.0
 
     @pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.4, 0.7, 1.2])
     def test_matches_naive_counting(self, threshold):
         fs = random_scores(3, decimals=1)
-        assert far_at(fs.impostor, threshold) == naive_far(fs.impostor, threshold)
-        assert frr_at(fs.genuine, threshold) == naive_frr(fs.genuine, threshold)
+        assert far_by_hter(fs.impostor, threshold) == naive_far(fs.impostor, threshold)
+        assert frr_by_hter(fs.genuine, threshold) == naive_frr(fs.genuine, threshold)
 
 
 class TestSweep:
@@ -148,6 +156,10 @@ class TestHter:
                 naive_far(fs.impostor, threshold) + naive_frr(fs.genuine, threshold)
             ) / 2
             assert hter(fs, threshold) == expected
+
+    def test_nan_threshold_is_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            hter(FusedScores([0.8, 0.9], [0.1, 0.2]), float("nan"))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equals_eer_at_the_eer_threshold(self, seed):
