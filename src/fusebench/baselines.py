@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .datasets import ScoreDataset, SplitPair, fuse_classes
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .gp import EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_roc
 
@@ -57,16 +57,13 @@ class GaConfig:
     p_mutation: float = 0.1
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.population_size < 2:
-            raise ValidationError("population_size must be >= 2")
-        if self.generations < 1:
-            raise ValidationError("generations must be >= 1")
+        for name, minimum in (("seed", 0), ("population_size", 2), ("generations", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not 0.0 < self.selection_q < 1.0:
             raise ValidationError("selection_q must lie in (0, 1)")
-        if not self.weight_lo < self.weight_hi:
-            raise ValidationError("weight interval is empty")
+        # numpy samples uniform(lo, hi) only for a finite width hi - lo
+        if not 0.0 < self.weight_hi - self.weight_lo < np.inf:
+            raise ValidationError("weight interval must have a positive, finite width")
         for name in ("p_crossover", "p_mutation"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
@@ -122,8 +119,7 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
     P(rank r) = q' * (1-q)^(r-1) for r = 1..P with q' = q / (1 - (1-q)^P),
     which sums to exactly 1 over the population.
     """
-    if population_size < 1:
-        raise ValidationError("population_size must be >= 1")
+    population_size = check_int("population_size", population_size, 1)
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie in (0, 1)")
     q_norm = q / (1.0 - (1.0 - q) ** population_size)

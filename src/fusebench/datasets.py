@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ScoreFileError, ValidationError
+from .errors import ScoreFileError, ValidationError, check_int
 from .metrics import FusedScores
 
 _LABELS = ("genuine", "impostor")
@@ -63,8 +63,8 @@ class ScoreDataset:
     scores: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.modality_count < 2:
-            raise ValidationError("a dataset needs at least two modalities")
+        object.__setattr__(self, "modality_count",
+                           check_int("modality_count", self.modality_count, 2))
         genuine = _as_score_matrix(self.genuine, self.modality_count, "genuine")
         impostor = _as_score_matrix(self.impostor, self.modality_count, "impostor")
         n = genuine.shape[0]
@@ -118,6 +118,9 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        for name, minimum in (("modality_count", 2), ("genuine_count", 1),
+                              ("impostor_count", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for field in ("genuine_means", "genuine_stddevs",
                       "impostor_means", "impostor_stddevs"):
             value = tuple(float(v) for v in getattr(self, field))
@@ -127,15 +130,9 @@ class SyntheticSpec:
                     f"{field} must list {self.modality_count} values, "
                     f"got {len(value)}"
                 )
-        if self.modality_count < 2:
-            raise ValidationError("a dataset needs at least two modalities")
         for field in ("genuine_stddevs", "impostor_stddevs"):
             if any(s <= 0 for s in getattr(self, field)):
                 raise ValidationError(f"all {field} must be strictly positive")
-        if self.genuine_count < 1 or self.impostor_count < 1:
-            raise ValidationError("genuine_count and impostor_count must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_row(path, line_no: int, row: list[str],

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`check_int`, the
+one check every seed, size and count a caller passes in goes through."""
+
+import numbers
 
 
 class FusebenchError(Exception):
@@ -16,6 +19,16 @@ class ScoreFileError(FusebenchError):
 
 class ValidationError(FusebenchError):
     """Input data or configuration violates a documented precondition."""
+
+
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, if it is an integer (not a bool) that is
+    at least ``minimum``; otherwise a :class:`ValidationError` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class DegenerateModalityError(ValidationError):

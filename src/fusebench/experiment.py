@@ -40,7 +40,7 @@ from .baselines import (
 )
 from . import gp
 from .datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
-from .errors import UndefinedGainError, ValidationError
+from .errors import UndefinedGainError, ValidationError, check_int
 from .gp import EvolutionConfig, EvolutionResult, evolve, history_to_csv
 from .metrics import gain, roc_to_csv
 from .normalization import fit_tanh_normalizer, normalizer_to_json
@@ -66,9 +66,7 @@ class ExperimentResult:
 
 def derive_component_seeds(seed: int) -> tuple[int, int]:
     """Deterministic (ga_seed, gp_seed) pair from the experiment seed."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    state = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    state = np.random.SeedSequence(check_int("seed", seed, 0)).generate_state(2, np.uint64)
     return int(state[0]), int(state[1])
 
 
@@ -115,6 +113,7 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
             f"unknown GA preset {ga_preset!r}; choose from {list(GA_PRESETS)}"
         )
 
+    seed = check_int("seed", seed, 0)  # report.json records this int
     ga_seed, gp_seed = derive_component_seeds(seed)
     if ga_config is None and "weight" in methods:
         ga_config = GaConfig(seed=ga_seed, **GA_PRESETS[ga_preset])

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .datasets import ScoreDataset, fuse_classes
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .metrics import sweep_roc
 from .trees import (
     FUNCTION_OPS,
@@ -72,14 +72,12 @@ class EvolutionConfig:
     fitness_target: float = 0.001
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.population_size < 2:
-            raise ValidationError("population_size must be >= 2")
-        if self.max_generations < 1:
-            raise ValidationError("max_generations must be >= 1")
+        for name, minimum in (("seed", 0), ("population_size", 2), ("max_generations", 1),
+                              ("max_depth", 1), ("init_depth_min", 1), ("init_depth_max", 1),
+                              ("tournament_size", 1), ("n_constants", 2)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         # every tree a run writes must stay replayable by parse_sexpr
-        if not (1 <= self.init_depth_min <= self.init_depth_max <= self.max_depth
+        if not (self.init_depth_min <= self.init_depth_max <= self.max_depth
                 <= MAX_TREE_DEPTH):
             raise ValidationError("need 1 <= init_depth_min <= init_depth_max"
                                   f" <= max_depth <= {MAX_TREE_DEPTH}")
@@ -92,12 +90,8 @@ class EvolutionConfig:
         # evolve renormalizes these two odds over the non-elite slots
         if self.p_crossover + self.p_mutation <= 0.0:
             raise ValidationError("p_crossover + p_mutation must be > 0")
-        if self.tournament_size < 1:
-            raise ValidationError("tournament_size must be >= 1")
         if not 0.0 < self.tournament_p <= 1.0:
             raise ValidationError("tournament_p must lie in (0, 1]")
-        if self.n_constants < 2:
-            raise ValidationError("n_constants must be >= 2")
         if self.fitness_target < 0.0:
             raise ValidationError("fitness_target must be >= 0")
 
@@ -127,10 +121,8 @@ class EvolutionResult:
 
 def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
     """One variable per modality plus constants evenly spread over [0, 1]."""
-    if modality_count < 2:
-        raise ValidationError("modality_count must be >= 2")
-    if n_constants < 2:
-        raise ValidationError("n_constants must be >= 2")
+    modality_count = check_int("modality_count", modality_count, 2)
+    n_constants = check_int("n_constants", n_constants, 2)
     variables = tuple(Var(m) for m in range(modality_count))
     constants = tuple(Const(j / (n_constants - 1)) for j in range(n_constants))
     return variables + constants
@@ -189,21 +181,23 @@ def ramped_half_and_half(cfg: EvolutionConfig, terminals, rng) -> list[Expressio
     return population
 
 
-def tournament_select(population, fitnesses, cfg: EvolutionConfig, rng) -> ExpressionTree:
-    """Size-10 tournament, geometric-by-rank winner probabilities.
-
-    Contestants are drawn uniformly with replacement (an individual may face
-    itself); rank r in the tournament wins with probability p * (1-p)^r and
-    the leftover mass falls on the last rank so the schedule sums to one.
-    """
-    drawn = rng.integers(0, len(population), size=cfg.tournament_size)
-    contestant_fits = np.asarray([fitnesses[int(i)] for i in drawn])
-    ranked = np.argsort(contestant_fits, kind="stable")
+def tournament_schedule(cfg: EvolutionConfig) -> np.ndarray:
+    """Cumulative winner probabilities by rank: rank r of the tournament wins
+    with probability p * (1-p)^r, and the leftover mass falls on the last
+    rank so the schedule sums to one."""
     p = cfg.tournament_p
     probs = p * (1.0 - p) ** np.arange(cfg.tournament_size, dtype=np.float64)
     probs[-1] = 1.0 - probs[:-1].sum()
-    rank = draw_rank(np.cumsum(probs), rng)
-    return population[int(drawn[ranked[rank]])]
+    return np.cumsum(probs)
+
+
+def tournament_select(population, fitnesses, cum, rng) -> ExpressionTree:
+    """Tournament of ``len(cum)`` contestants, drawn uniformly with
+    replacement (an individual may face itself) and ranked by fitness; the
+    winning rank is drawn from the cumulative schedule ``cum``."""
+    drawn = rng.integers(0, len(population), size=len(cum))
+    ranked = np.argsort(np.asarray(fitnesses)[drawn], kind="stable")
+    return population[int(drawn[ranked[draw_rank(cum, rng)]])]
 
 
 def draw_rank(cum, rng) -> int:
@@ -228,9 +222,8 @@ def crossover(parent1: ExpressionTree, parent2: ExpressionTree,
         slot = int(rng.integers(1, n1))
         donor, _ = node_at(parent2.root, int(rng.integers(0, n2)))
         candidate = replace_at(parent1.root, slot, donor)
-        tree = ExpressionTree(candidate)
-        if tree.depth <= cfg.max_depth:
-            return tree
+        if candidate.depth <= cfg.max_depth:
+            return ExpressionTree(candidate)
     return ExpressionTree(parent1.root)
 
 
@@ -320,21 +313,22 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     terminals = terminal_set(train.modality_count, cfg.n_constants)
     population = ramped_half_and_half(cfg, terminals, _generation_rng(cfg.seed, 0))
 
-    elite_count = min(max(1, round(cfg.p_reproduction * cfg.population_size)),
-                      cfg.population_size)
+    elite_count = max(1, round(cfg.p_reproduction * cfg.population_size))
+    cum = tournament_schedule(cfg)
     # crossover odds among the non-elite slots: 0.45 / (0.45 + 0.50)
     p_cx = cfg.p_crossover / (cfg.p_crossover + cfg.p_mutation)
 
     def breed(generation, population, fitnesses, _order, count):
         rng = _generation_rng(cfg.seed, generation)
+        fitnesses = np.asarray(fitnesses)
         children = []
         for _ in range(count):
             if rng.random() < p_cx:
-                parent1 = tournament_select(population, fitnesses, cfg, rng)
-                parent2 = tournament_select(population, fitnesses, cfg, rng)
+                parent1 = tournament_select(population, fitnesses, cum, rng)
+                parent2 = tournament_select(population, fitnesses, cum, rng)
                 child = crossover(parent1, parent2, cfg, rng)
             else:
-                parent = tournament_select(population, fitnesses, cfg, rng)
+                parent = tournament_select(population, fitnesses, cum, rng)
                 child = mutate(parent, cfg, terminals, rng)
             if child.depth > cfg.max_depth:
                 raise AssertionError("genetic operator produced an over-deep tree")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SexprError, ValidationError
+from .errors import SexprError, ValidationError, check_int
 
 DIV_EPSILON = 1e-12
 VALUE_CLAMP = 1e100
@@ -66,9 +66,9 @@ class Var:
     depth = 0
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValidationError(f"variable index must be >= 0, got {self.index}")
-        object.__setattr__(self, "max_var", self.index)
+        index = check_int("variable index", self.index, 0)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "max_var", index)
 
 
 @dataclass(frozen=True)

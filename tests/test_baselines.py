@@ -208,6 +208,13 @@ class TestGaConfig:
         with pytest.raises(ValidationError):
             GaConfig(seed=1, **overrides)
 
+    @pytest.mark.parametrize("lo, hi", [(-10.0, np.inf), (-np.inf, 10.0),
+                                         (-1e308, 1e308), (-10.0, np.nan)])
+    def test_interval_numpy_cannot_sample_is_rejected(self, lo, hi):
+        # ga_tune_weights would end in numpy's bare OverflowError
+        with pytest.raises(ValidationError, match="finite width"):
+            GaConfig(seed=1, weight_lo=lo, weight_hi=hi)
+
 
 class TestGaTuning:
     def test_never_worse_than_the_sum_rule_on_train(self, make_gaussian):

@@ -266,7 +266,7 @@ class TestTypes:
                 ScoreDataset(2, [[0.5, bad]], [[0.1, 0.1]])
 
     def test_dataset_needs_two_modalities(self):
-        with pytest.raises(ValidationError, match="two modalities"):
+        with pytest.raises(ValidationError, match="modality_count must be >= 2, got 1"):
             ScoreDataset(1, [[0.5]], [[0.1]])
 
     def test_dataset_rejects_empty_class(self):

@@ -12,6 +12,9 @@ CHANGES.md records with its reason.
 
 import hashlib
 
+import numpy as np
+import pytest
+
 from fusebench import (
     EvolutionConfig,
     GaConfig,
@@ -39,22 +42,26 @@ GOLDEN = {
 }
 
 
-def banca_shaped_run():
+def banca_shaped_run(integer=int):
+    """The pinned run; ``integer`` builds every integer setting it passes."""
     spec = SyntheticSpec(
         modality_count=4,
         genuine_means=(1.2, 1.0, 0.8, 0.6),
         genuine_stddevs=(1.0,) * 4,
         impostor_means=(0.0,) * 4,
         impostor_stddevs=(1.0,) * 4,
-        genuine_count=467,
-        impostor_count=624,
-        seed=2024,
+        genuine_count=integer(467),
+        impostor_count=integer(624),
+        seed=integer(2024),
     )
     ds = generate_synthetic(spec, name="banca-shaped")
-    ga = GaConfig(seed=11, population_size=24, generations=4)
-    gp = EvolutionConfig(seed=13, population_size=40, max_generations=4,
-                         n_constants=10)
-    return run_experiment(ds, seed=7, ga_config=ga, gp_config=gp)
+    ga = GaConfig(seed=integer(11), population_size=integer(24),
+                  generations=integer(4))
+    gp = EvolutionConfig(seed=integer(13), population_size=integer(40),
+                         max_generations=integer(4), n_constants=integer(10),
+                         max_depth=integer(8), init_depth_min=integer(2),
+                         init_depth_max=integer(8), tournament_size=integer(10))
+    return run_experiment(ds, seed=integer(7), ga_config=ga, gp_config=gp)
 
 
 def test_artifact_digests_are_pinned(tmp_path):
@@ -65,3 +72,9 @@ def test_artifact_digests_are_pinned(tmp_path):
         for path in sorted(tmp_path.iterdir())
     }
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integer_settings_change_no_byte(integer):
+    # numpy integers are stored as ints, so report.json still serializes
+    assert banca_shaped_run(integer).artifacts == banca_shaped_run().artifacts

@@ -19,6 +19,7 @@ from fusebench.gp import (
     mutate,
     ramped_half_and_half,
     terminal_set,
+    tournament_schedule,
     tournament_select,
 )
 from fusebench.metrics import FusedScores, sweep_roc
@@ -223,7 +224,7 @@ class TestTournament:
         population = distinct_population(10)
         rng = ScriptedRng(integer_draws=range(10), uniform_draws=[u])
         cfg = small_config()
-        return tournament_select(population, self.fits, cfg, rng)
+        return tournament_select(population, self.fits, tournament_schedule(cfg), rng)
 
     def test_low_draw_picks_the_best_contestant(self):
         assert self.select_with(0.5).root.right == Const(9.0)
@@ -241,7 +242,8 @@ class TestTournament:
     def test_single_individual_population(self):
         population = distinct_population(1)
         winner = tournament_select(
-            population, [0.4], small_config(), np.random.default_rng(0)
+            population, [0.4], tournament_schedule(small_config()),
+            np.random.default_rng(0),
         )
         assert winner is population[0]
 
@@ -254,7 +256,7 @@ class TestTournament:
         for _ in range(300):
             drawn = mirror.integers(0, 40, size=cfg.tournament_size)
             u = mirror.random()
-            winner = tournament_select(population, fits, cfg, rng)
+            winner = tournament_select(population, fits, tournament_schedule(cfg), rng)
             expected = oracle_tournament_winner(drawn, u, fits, cfg.tournament_p)
             assert winner is population[expected]
 
@@ -268,7 +270,7 @@ class TestTournament:
         for _ in range(trials):
             drawn = mirror.integers(0, 2000, size=cfg.tournament_size)
             mirror.random()
-            winner = tournament_select(population, fits, cfg, rng)
+            winner = tournament_select(population, fits, tournament_schedule(cfg), rng)
             if winner.root.right == Const(float(drawn.min())):
                 wins += 1
         assert 0.78 <= wins / trials <= 0.82
