@@ -141,6 +141,13 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     vector, so the tuned training EER never exceeds the sum rule's.
 
     The result's best individual is the best weight tuple ever seen.
+
+    Rank selection mostly copies a parent verbatim, so fitness is memoized
+    by the chromosome's bytes over a window of the previous generation and
+    the children scored so far in this one; :func:`_weighted_eer`, looked up
+    at call time, runs once per chromosome new to that window.  A repeat
+    gets the float that the same bytes gave through the same deterministic
+    fusion and sweep, so no result changes.
     """
     check_score_spread(train)
     n = train.modality_count
@@ -149,8 +156,18 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
+    known: dict[bytes, float] = {}  # chromosome bytes -> training EER
 
-    def breed(_generation, population, _fits, order, count):
+    def score(w):
+        key = w.tobytes()
+        if key not in known:
+            known[key] = _weighted_eer(w, train)
+        return known[key]
+
+    def breed(_generation, population, fits, order, count):
+        known.clear()
+        known.update(zip((w.tobytes() for w in population), fits))
+
         def select_parent():
             return population[order[draw_rank(cum, rng)]]
 
@@ -171,8 +188,8 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
             children.append(child)
         return children
 
-    return generational_search(list(pop), lambda w: _weighted_eer(w, train), breed,
-                               cfg.generations, 1 if cfg.elitism else 0)
+    return generational_search(list(pop), score, breed, cfg.generations,
+                               1 if cfg.elitism else 0)
 
 
 def evaluate_fused_method(method: str, train_fs: FusedScores,

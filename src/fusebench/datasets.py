@@ -182,8 +182,10 @@ def load_dataset(path, modality_count: int, *,
     line number) and :class:`ValidationError` if either class ends up empty.
     """
     path = Path(path)
-    negate = sorted(set(int(i) for i in negate_modalities))
-    if negate and not (0 <= negate[0] and negate[-1] < modality_count):
+    modality_count = check_int("modality_count", modality_count, 2)
+    negate = sorted({check_int("negate_modalities index", i, 0)
+                     for i in negate_modalities})
+    if negate and negate[-1] >= modality_count:
         raise ValidationError(
             f"negate_modalities {negate} out of range for {modality_count} modalities"
         )

@@ -129,7 +129,14 @@ def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
 
 
 def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
-    """Sweep EER of the tree's fused scores; lower is better."""
+    """Sweep EER of the tree's fused scores; lower is better.
+
+    A tree that reads no variable (``root.max_var == -1``) scores 0.5 with
+    no evaluation and no sweep: it fuses every row to the same finite
+    value, for which :func:`sweep_roc` gives exactly the chance level 0.5.
+    """
+    if tree.root.max_var == -1:
+        return 0.5
     return sweep_roc(fuse_classes(partial(evaluate_matrix, tree), ds)).eer
 
 

@@ -176,7 +176,9 @@ def _eval_node(node: Node, scores: np.ndarray) -> np.ndarray | float:
         return node.value
     out = _OPS[node.op](_eval_node(node.left, scores), _eval_node(node.right, scores))
     if node.op in _CLAMPED_OPS:
-        out = np.clip(out, -VALUE_CLAMP, VALUE_CLAMP)
+        # a clamped op always returns an ndarray or np.float64, never a
+        # Python float, so the method form skips np.clip's dispatch
+        out = out.clip(-VALUE_CLAMP, VALUE_CLAMP)
     return out
 
 

@@ -19,6 +19,7 @@ from fusebench.baselines import (
 )
 from fusebench.datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
 from fusebench.errors import ValidationError
+from fusebench.gp import generational_search
 from fusebench.metrics import FusedScores, auc, sweep_roc
 from fusebench.normalization import fit_tanh_normalizer
 from oracles import naive_far, naive_frr
@@ -294,6 +295,47 @@ class TestGaTuning:
         flat = ScoreDataset(2, np.full((3, 2), 0.1), np.full((4, 2), 0.1))
         with pytest.raises(ValidationError, match="degenerate"):
             ga_tune_weights(flat, tiny_ga_config())
+
+
+class TestGaFitnessMemo:
+    def test_each_new_chromosome_is_swept_once_and_every_score_is_exact(
+        self, make_gaussian, monkeypatch
+    ):
+        ds = make_gaussian(seed=26, modalities=3, genuine=40, impostor=80)
+        cfg = tiny_ga_config(population_size=50, generations=15)
+        fresh = baselines._weighted_eer
+        returned = []
+        swept = []
+        # chromosome bytes of the previous generation, and of this one's sweeps
+        window = [set(), set()]
+
+        def counted_eer(w, train):
+            key = w.tobytes()
+            assert key not in window[0] and key not in window[1]
+            window[1].add(key)
+            swept.append(key)
+            return fresh(w, train)
+
+        def checked_search(population, score, breed, *args):
+            def checked_score(w):
+                value = score(w)
+                assert value == fresh(w, ds)
+                returned.append(value)
+                return value
+
+            def windowed_breed(generation, population, *rest):
+                window[:] = [{w.tobytes() for w in population}, set()]
+                return breed(generation, population, *rest)
+
+            return generational_search(population, checked_score, windowed_breed, *args)
+
+        monkeypatch.setattr(baselines, "_weighted_eer", counted_eer)
+        monkeypatch.setattr(baselines, "generational_search", checked_search)
+        result = ga_tune_weights(ds, cfg)
+        assert len(returned) == cfg.population_size + cfg.generations * (
+            cfg.population_size - 1)
+        assert len(swept) < len(returned) // 2
+        assert result.best_fitness == min(returned)
 
 
 class TestEvaluateFusedMethod:

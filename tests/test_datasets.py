@@ -126,6 +126,20 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="out of range"):
             load_dataset(path, 2, negate_modalities=[2])
 
+    def test_modality_count_is_checked_before_any_row(self, tmp_path):
+        path = write(tmp_path, "0.9,0.8,genuine\n0.1,0.2,impostor\n")
+        with pytest.raises(ValidationError, match="modality_count must be an integer"):
+            load_dataset(path, "2")
+        with pytest.raises(ValidationError, match="modality_count must be >= 2"):
+            load_dataset(write(tmp_path, "junk\n"), 1)
+
+    @pytest.mark.parametrize("index", [1.7, True, "1"], ids=["1.7", "True", "'1'"])
+    def test_negate_index_must_be_an_integer(self, tmp_path, index):
+        path = write(tmp_path, "0.9,0.8,genuine\n0.1,0.2,impostor\n")
+        with pytest.raises(ValidationError,
+                           match="negate_modalities index must be an integer"):
+            load_dataset(path, 2, negate_modalities=[index])
+
 
 class TestRoundTrip:
     def test_save_load_canonical_file_byte_exact(self, tmp_path, make_gaussian):

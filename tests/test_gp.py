@@ -189,6 +189,25 @@ class TestFitness:
         constant = parse_sexpr("(add (const 0.2) (const 0.3))")
         assert fitness(constant, tiny_dataset) == 0.5
 
+    @pytest.mark.parametrize("sexpr", [
+        "(add (const 0.2) (const 0.3))",
+        "(div (const 1.0) (const 0.0))",
+        "(mul (const -0.0) (const 0.5))",
+        "(min (mul (const 1e+99) (const 1e+99)) (avg (const 0.1) (const 0.4)))",
+    ])
+    def test_variable_free_tree_scores_chance_without_a_sweep(
+        self, tiny_dataset, monkeypatch, sexpr
+    ):
+        tree = parse_sexpr(sexpr)
+        swept = sweep_roc(fuse_classes(partial(evaluate_matrix, tree), tiny_dataset)).eer
+
+        def forbidden(*_args):
+            raise AssertionError("a variable-free tree was evaluated or swept")
+
+        monkeypatch.setattr(gp, "evaluate_matrix", forbidden)
+        monkeypatch.setattr(gp, "sweep_roc", forbidden)
+        assert fitness(tree, tiny_dataset) == swept == 0.5
+
     def test_sum_tree_equals_sum_rule_eer(self, make_gaussian):
         ds = make_gaussian(seed=5, modalities=2)
         tree = parse_sexpr("(add (var 0) (var 1))")
