@@ -28,7 +28,9 @@ never perturb the stochastic decisions.
 
 from __future__ import annotations
 
+import bisect
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,6 +42,7 @@ from .metrics import sweep_roc
 from .trees import (
     FUNCTION_OPS,
     MAX_TREE_DEPTH,
+    ColumnCache,
     Const,
     ExpressionTree,
     Func,
@@ -51,6 +54,9 @@ from .trees import (
 )
 
 CROSSOVER_RETRIES = 10
+# The column cache of the running evolve call, bound to its training matrix;
+# fitness reads it here so that its signature stays (tree, ds).
+_RUN_CACHE: ContextVar[ColumnCache | None] = ContextVar("gp_run_cache", default=None)
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,15 @@ def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
     A tree that reads no variable (``root.max_var == -1``) scores 0.5 with
     no evaluation and no sweep: it fuses every row to the same finite
     value, for which :func:`sweep_roc` gives exactly the chance level 0.5.
+    Inside :func:`evolve`, a tree scored on the run's training set reuses
+    the run's subtree columns; the fused scores are the same bits.
     """
     if tree.root.max_var == -1:
         return 0.5
-    return sweep_roc(fuse_classes(partial(evaluate_matrix, tree), ds)).eer
+    cache = _RUN_CACHE.get()
+    if cache is not None and cache.scores is not ds.scores:
+        cache = None
+    return sweep_roc(fuse_classes(partial(evaluate_matrix, tree, cache=cache), ds)).eer
 
 
 def _random_terminal(terminals, rng) -> Node:
@@ -210,7 +221,7 @@ def tournament_select(population, fitnesses, cum, rng) -> ExpressionTree:
 def draw_rank(cum, rng) -> int:
     """Rank drawn by one uniform draw from cumulative probabilities ``cum``;
     a draw past a rounded-down total lands on the last rank."""
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+    return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 
 def crossover(parent1: ExpressionTree, parent2: ExpressionTree,
@@ -315,6 +326,8 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     bred generations.  Same seed and data reproduce the run bit-for-bit.
     Every created tree is scored once, by ``fusebench.gp.fitness`` looked
     up at call time, so wrapping that function sees every tree the run creates.
+    Those calls share one :class:`~fusebench.trees.ColumnCache` of
+    ``train.scores``.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
@@ -342,8 +355,12 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
             children.append(child)
         return children
 
-    return generational_search(population, lambda tree: fitness(tree, train), breed,
-                               cfg.max_generations, elite_count, cfg.fitness_target)
+    token = _RUN_CACHE.set(ColumnCache(train.scores))
+    try:
+        return generational_search(population, lambda tree: fitness(tree, train), breed,
+                                   cfg.max_generations, elite_count, cfg.fitness_target)
+    finally:
+        _RUN_CACHE.reset(token)
 
 
 def history_to_csv(history) -> str:

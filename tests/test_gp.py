@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import fusebench.gp as gp
+import fusebench.trees as trees
 from fusebench.datasets import ScoreDataset, fuse_classes
 from fusebench.errors import ValidationError
 from fusebench.gp import (
     EvolutionConfig,
     GenerationStats,
     crossover,
+    draw_rank,
     evolve,
     fitness,
     generational_search,
@@ -25,6 +27,7 @@ from fusebench.gp import (
 from fusebench.metrics import FusedScores, sweep_roc
 from fusebench.trees import (
     MAX_TREE_DEPTH,
+    ColumnCache,
     Const,
     ExpressionTree,
     Func,
@@ -294,6 +297,21 @@ class TestTournament:
                 wins += 1
         assert 0.78 <= wins / trials <= 0.82
 
+    @pytest.mark.parametrize("probs", [
+        [0.8 * 0.2 ** r for r in range(9)] + [0.2 ** 9],
+        [0.1] * 10,  # the total rounds down below 1
+        [0.5, 0.0, 0.0, 0.5],
+        [1.0],
+    ])
+    def test_draw_rank_matches_searchsorted(self, probs):
+        cum = np.cumsum(probs)
+        draws = np.random.default_rng(5).random(5000).tolist()
+        draws += cum.tolist() + [0.0, np.nextafter(cum[-1], 1.0), 1.0 - 2.0 ** -53]
+        rng = ScriptedRng(uniform_draws=draws)
+        for u in draws:
+            expected = min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+            assert draw_rank(cum, rng) == expected
+
 
 class TestCrossover:
     def test_scripted_graft(self):
@@ -464,6 +482,81 @@ class TestEvolve:
         result = evolve(ds, small_config(max_generations=1))
         assert result.history[0].generation == 0
         assert len(result.history) == 2
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class NoCache(ColumnCache):
+    """A column cache that never holds a column: the uncached interpreter."""
+
+    def get(self, node):
+        return None
+
+    def put(self, node, column):
+        pass
+
+
+class TestRunCache:
+    def test_every_tree_fuses_as_without_the_cache(self, make_gaussian, monkeypatch):
+        ds = make_gaussian(seed=12, modalities=3, genuine=50, impostor=90)
+        monkeypatch.setattr(trees, "CACHE_COLUMNS", 7)  # forces evictions
+        hits = []
+        real_get = ColumnCache.get
+
+        def counted_get(cache, node):
+            column = real_get(cache, node)
+            hits.append(column is not None)
+            return column
+
+        def checked(tree, scores, *, cache=None):
+            out = evaluate_matrix(tree, scores, cache=cache)
+            assert cache is not None and cache.scores is ds.scores
+            assert len(cache._entries) <= 7
+            assert bits(out) == bits(evaluate_matrix(tree, scores))
+            return out
+
+        monkeypatch.setattr(ColumnCache, "get", counted_get)
+        monkeypatch.setattr(gp, "evaluate_matrix", checked)
+        evolve(ds, small_config(max_generations=4))
+        assert 0 < sum(hits) < len(hits)
+
+    def test_uncached_run_gives_the_same_result(self, make_gaussian, monkeypatch):
+        ds = make_gaussian(seed=13, modalities=2, genuine=40, impostor=80)
+        cfg = small_config(max_generations=3)
+        cached = evolve(ds, cfg)
+        monkeypatch.setattr(gp, "ColumnCache", NoCache)
+        uncached = evolve(ds, cfg)
+        assert uncached.best_individual == cached.best_individual
+        assert uncached.history == cached.history
+
+    def test_fitness_reads_the_cache_only_for_its_matrix(self, make_gaussian):
+        train = make_gaussian(seed=14, modalities=2)
+        other = make_gaussian(seed=15, modalities=2)
+        t = parse_sexpr("(add (mul (var 0) (var 1)) (var 1))")
+        expected = [fitness(t, train), fitness(t, other)]
+        cache = ColumnCache(train.scores)
+        token = gp._RUN_CACHE.set(cache)
+        try:
+            assert [fitness(t, train), fitness(t, other)] == expected
+        finally:
+            gp._RUN_CACHE.reset(token)
+        assert [node for node, _ in cache._entries.values()] == [t.root.left, t.root]
+
+    def test_the_cache_ends_with_the_run(self, make_gaussian, monkeypatch):
+        ds = make_gaussian(seed=16, modalities=2)
+        evolve(ds, small_config(max_generations=1))
+        assert gp._RUN_CACHE.get() is None
+
+        def failing(tree, train):
+            assert gp._RUN_CACHE.get().scores is train.scores
+            raise RuntimeError("scorer failed")
+
+        monkeypatch.setattr(gp, "fitness", failing)
+        with pytest.raises(RuntimeError, match="scorer failed"):
+            evolve(ds, small_config(max_generations=1))
+        assert gp._RUN_CACHE.get() is None
 
 
 class TestGenerationalSearch:

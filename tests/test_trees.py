@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fusebench.trees as trees
 from fusebench.errors import SexprError, ValidationError
 from fusebench.gp import EvolutionConfig, ramped_half_and_half, terminal_set
 from fusebench.trees import (
+    CACHE_COLUMNS,
     DIV_EPSILON,
     FUNCTION_OPS,
     MAX_TREE_DEPTH,
     VALUE_CLAMP,
+    ColumnCache,
     Const,
     ExpressionTree,
     Func,
@@ -224,7 +227,7 @@ class TestExpressionTree:
 
 terminal_nodes = st.one_of(
     st.integers(0, 3).map(Var),
-    st.floats(allow_nan=False, allow_infinity=False, width=64).map(Const),
+    st.floats(-VALUE_CLAMP, VALUE_CLAMP, width=64).map(Const),
 )
 any_node = st.deferred(
     lambda: terminal_nodes
@@ -308,3 +311,164 @@ class TestSexpr:
     def test_non_finite_constant_fails_validation(self, value):
         with pytest.raises(ValidationError, match="finite"):
             parse_sexpr(f"(add (var 0) (const {value}))")
+
+
+def func_nodes(node):
+    """Every function node of a subtree, preorder."""
+    return [n for n, _ in naive_preorder(node) if isinstance(n, Func)]
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def lifted(node, values: list):
+    """The subtree with each constant read from a column of its own, whose
+    value is appended to ``values``: the interpreter's column path."""
+    if isinstance(node, Const):
+        values.append(node.value)
+        return Var(len(values) - 1)
+    if isinstance(node, Func):
+        return Func(node.op, lifted(node.left, values), lifted(node.right, values))
+    return node
+
+
+class TestConstantBounds:
+    @pytest.mark.parametrize("value", [1e101, -1e101, 1e300, -1.7976931348623157e308])
+    def test_constant_beyond_the_clamp_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="within"):
+            Const(value)
+
+    @pytest.mark.parametrize("value", [VALUE_CLAMP, -VALUE_CLAMP, 0.0, -0.0, 5e-324])
+    def test_constant_up_to_the_clamp_is_kept(self, value):
+        assert bits([Const(value).value]) == bits([value])
+
+    def test_large_product_of_constants_fails_to_parse(self):
+        # beyond the clamp the interpreter's no-overflow argument fails
+        with pytest.raises(ValidationError, match="within"):
+            parse_sexpr("(add (var 0) (mul (const 1e300) (const 1e300)))")
+
+
+class TestFolding:
+    @pytest.mark.parametrize("text", [
+        "(div (const 1.0) (const 0.0))",
+        "(add (const 0.1) (const 0.2))",
+        "(mul (const 1e100) (const -1e100))",
+        "(avg (const 0.3) (min (const 0.7) (const -0.0)))",
+        "(sub (max (const 2.0) (const 3.0)) (div (const 1.0) (const 3.0)))",
+    ])
+    def test_value_is_the_evaluated_subtree(self, text):
+        root = tree(text).root
+        assert type(root.value) is float
+        for node in func_nodes(root):
+            values = []
+            columns = ExpressionTree(lifted(node, values))
+            evaluated = evaluate_matrix(columns, np.array([values] * 3))
+            assert bits(evaluated) == bits([node.value] * 3)
+            assert bits(evaluate_matrix(ExpressionTree(node), np.zeros((3, 1)))) == bits(
+                [node.value] * 3)
+
+    def test_folded_values_match_the_column_path_and_the_oracle(self):
+        for t in random_trees(15, 40, modalities=2):
+            for node in func_nodes(t.root):
+                if node.max_var == -1:
+                    values = []
+                    columns = ExpressionTree(lifted(node, values))
+                    evaluated = evaluate_matrix(columns, np.array([values]))
+                    assert bits([node.value]) == bits(evaluated)
+                    assert node.value == naive_eval(node, (0.0, 0.0))
+                else:
+                    assert node.value is None
+
+    def test_value_takes_no_part_in_equality_or_repr(self):
+        assert Func("add", Const(1.0), Const(2.0)) != Func("add", Const(2.0), Const(1.0))
+        assert repr(Func("add", Const(1.0), Const(2.0))) == (
+            "Func(op='add', left=Const(value=1.0), right=Const(value=2.0))")
+
+    def test_deepest_constant_chain_parses_and_folds(self):
+        text = "(add (const 0.5) " * MAX_TREE_DEPTH + "(const 0.25)" + ")" * MAX_TREE_DEPTH
+        chain = parse_sexpr(text)
+        assert chain.depth == MAX_TREE_DEPTH
+        assert chain.root.value == 0.5 * MAX_TREE_DEPTH + 0.25
+        assert evaluate_matrix(chain, np.zeros((2, 1))).tolist() == [chain.root.value] * 2
+
+    def test_folded_subtree_is_not_evaluated_again(self, monkeypatch):
+        t = tree("(add (var 0) (mul (const 2.0) (const 3.0)))")
+        calls = []
+        real = trees._apply
+        monkeypatch.setattr(trees, "_apply", lambda op, a, b: calls.append(op) or real(op, a, b))
+        assert evaluate_matrix(t, np.ones((2, 1))).tolist() == [7.0, 7.0]
+        assert calls == ["add"]
+
+
+class TestColumnCache:
+    matrix = np.random.default_rng(21).normal(size=(40, 3)) * [1.0, 1e120, 1e-3]
+
+    def test_cached_and_uncached_agree_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(trees, "CACHE_COLUMNS", 6)
+        cache = ColumnCache(self.matrix)
+        population = random_trees(17, 60)
+        # grafts make trees share subtree objects, as crossover does
+        rng = np.random.default_rng(3)
+        for t in list(population):
+            donor = population[int(rng.integers(len(population)))].root
+            slot = int(rng.integers(1, t.root.size))
+            population.append(ExpressionTree(replace_at(t.root, slot, node_at(donor, 1)[0])))
+        for t in population + population[::-1]:
+            cached = evaluate_matrix(t, self.matrix, cache=cache)
+            assert bits(cached) == bits(evaluate_matrix(t, self.matrix))
+            assert len(cache._entries) <= 6
+
+    def test_shared_subtrees_are_read_from_the_cache(self, monkeypatch):
+        shared = Func("mul", Var(0), Var(1))
+        cache = ColumnCache(self.matrix)
+        evaluate_matrix(ExpressionTree(Func("add", shared, Const(1.0))), self.matrix,
+                        cache=cache)
+        calls = []
+        real = trees._apply
+        monkeypatch.setattr(trees, "_apply", lambda op, a, b: calls.append(op) or real(op, a, b))
+        evaluate_matrix(ExpressionTree(Func("sub", shared, Var(2))), self.matrix, cache=cache)
+        assert calls == ["sub"]
+
+    def test_least_recently_used_column_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(trees, "CACHE_COLUMNS", 2)
+        cache = ColumnCache(self.matrix)
+        a, b, c = (ExpressionTree(Func(op, Var(0), Var(1))) for op in ("add", "sub", "mul"))
+        for t in (a, b, a, c):
+            evaluate_matrix(t, self.matrix, cache=cache)
+        assert [node for node, _ in cache._entries.values()] == [a.root, c.root]
+
+    def test_budget_bounds_the_bssr1_training_half(self):
+        # 256 genuine + 130,816 impostor rows
+        assert CACHE_COLUMNS * 131_072 * 8 <= 256 * 2**20
+
+    def test_cache_for_another_matrix_is_refused(self):
+        cache = ColumnCache(self.matrix)
+        t = tree("(add (var 0) (var 1))")
+        for other in (self.matrix.copy(), self.matrix[:, :], self.matrix.tolist()):
+            with pytest.raises(ValidationError, match="another score matrix"):
+                evaluate_matrix(t, other, cache=cache)
+
+    def test_columns_and_matrix_are_read_only(self):
+        cache = ColumnCache(self.matrix)
+        t = tree("(add (mul (var 0) (var 1)) (min (var 2) (const 0.5)))")
+        out = evaluate_matrix(t, self.matrix, cache=cache)
+        assert len(cache._entries) == 3
+        for _, column in cache._entries.values():
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+        with pytest.raises(ValueError):
+            cache.clamped[0, 0] = 0.0
+        assert cache.clamped.flags.f_contiguous
+        assert np.abs(cache.clamped).max() == VALUE_CLAMP
+
+    def test_modality_check_and_variable_free_trees(self):
+        cache = ColumnCache(self.matrix)
+        with pytest.raises(ValidationError, match="modality 3"):
+            evaluate_matrix(tree("(add (var 0) (var 3))"), self.matrix, cache=cache)
+        constant = evaluate_matrix(tree("(div (const 1.0) (const 0.0))"), self.matrix,
+                                   cache=cache)
+        assert constant.tolist() == [1.0] * 40
+        assert not cache._entries
