@@ -1,12 +1,18 @@
 """Score dataset handling: CSV ingestion, deterministic splitting, synthesis.
 
-A score file is a UTF-8 (optionally BOM-prefixed), LF-terminated CSV with
-one row per comparison event: columns 1..n hold the per-modality match
-scores and the final column is the label, ``genuine`` or ``impostor``
-(case-insensitive).  An optional header row is detected by a non-numeric
-first field.  Scores follow the similarity convention (higher = more likely
-genuine); matchers that emit distances can be flipped per modality at load
-time.
+A score file is a UTF-8 (optionally BOM-prefixed) CSV, with LF or CRLF line
+endings, and one row per comparison event: columns 1..n hold the
+per-modality match scores and the final column is the label, ``genuine`` or
+``impostor`` (case-insensitive).  An optional header row is detected by a
+non-numeric first field.  Scores follow the similarity convention (higher =
+more likely genuine); matchers that emit distances can be flipped per
+modality at load time.
+
+A canonical file, printable ASCII with LF endings and no quotes as
+:func:`dataset_to_csv` writes it, is read by numpy's C parser; every other
+file, and every file that parser cannot vouch for, by the ``csv``-module
+reference reader.  Both give the same float64 bits, and only the reference
+raises a data error, so every message and line number is the reference's.
 
 Datasets are immutable once constructed and keep rows in ingestion order,
 which the half/half splitting protocol relies on.  Each stores one stacked
@@ -20,7 +26,10 @@ modalities up.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -171,24 +180,67 @@ def _looks_numeric(cell: str) -> bool:
     return True
 
 
-def load_dataset(path, modality_count: int, *,
-                 negate_modalities: Iterable[int] = ()) -> ScoreDataset:
-    """Parse a score CSV into a :class:`ScoreDataset` named by the file's stem.
+# the bytes of a canonical file: LF and printable ASCII except '"'
+_CANONICAL_BYTES = bytes([0x0A, *range(0x20, 0x7F)]).replace(b'"', b"")
 
-    ``negate_modalities`` lists 0-based modality indices whose scores are
-    multiplied by -1 at ingestion (for distance-style matchers).
 
-    Raises :class:`ScoreFileError` for malformed rows or non-UTF-8 bytes (with
-    line number) and :class:`ValidationError` if either class ends up empty.
+def _has_line_longer_than(data: bytes, limit: int) -> bool:
+    """Whether some LF-separated line of ``data`` exceeds ``limit`` bytes.
+
+    Such a line holds ``limit + 1`` consecutive bytes, a run that covers one
+    multiple of ``limit + 1``; measuring the line at each multiple finds it
+    without splitting the file.
     """
-    path = Path(path)
-    modality_count = check_int("modality_count", modality_count, 2)
-    negate = sorted({check_int("negate_modalities index", i, 0)
-                     for i in negate_modalities})
-    if negate and negate[-1] >= modality_count:
-        raise ValidationError(
-            f"negate_modalities {negate} out of range for {modality_count} modalities"
-        )
+    for at in range(0, len(data), limit + 1):
+        start = data.rfind(b"\n", 0, at) + 1
+        end = data.find(b"\n", at)
+        if (len(data) if end < 0 else end) - start > limit:
+            return True
+    return False
+
+
+def _load_canonical(path: Path, modality_count: int):
+    """Read a canonical score file with numpy's C parser.
+
+    Returns the ``(genuine, impostor)`` matrices, bit for bit those of
+    :func:`_load_reference`, or ``None`` for any file it cannot vouch for.
+    It never raises a data error, so every message comes from the reference.
+    """
+    data = path.read_bytes()
+    # '"', CR, NUL, non-ASCII bytes and the control characters numpy strips
+    # around a number but float() does not are all the reference's to judge
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
+    # numpy reads a field longer than the csv module's limit, which rejects it
+    if _has_line_longer_than(data, csv.field_size_limit()):
+        return None
+    header = not _looks_numeric(re.match(rb"[^,\n]*", data).group().decode("ascii"))
+    # the structured dtype makes numpy check every row's column count; a
+    # label longer than 8 characters keeps 9 and matches neither label
+    dtype = [("s", np.float64, (modality_count,)), ("label", "U9")]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1, encoding="ascii",
+                              skiprows=int(header))
+    except (ValueError, Warning):  # a row numpy rejects, or no rows at all
+        return None
+    del data  # the file's bytes outweigh the parsed rows; free them first
+    scores, labels = rows["s"], rows["label"]
+    genuine = labels == "genuine"
+    if (not np.all(genuine | (labels == "impostor"))
+            or not np.all(np.isfinite(scores))
+            or genuine.all() or not genuine.any()):
+        return None
+    return scores[genuine], scores[~genuine]
+
+
+def _load_reference(path: Path, modality_count: int):
+    """Parse any score file row by row with the ``csv`` module.
+
+    Returns the ``(genuine, impostor)`` matrices; raises every data error.
+    """
     genuine_rows: list[list[float]] = []
     impostor_rows: list[list[float]] = []
     # undecodable bytes become lone surrogates, which the row checks reject
@@ -207,8 +259,30 @@ def load_dataset(path, modality_count: int, *,
     for what, rows in (("genuine", genuine_rows), ("impostor", impostor_rows)):
         if not rows:
             raise ValidationError(f"{path}: score file contains no {what} rows")
-    genuine = np.asarray(genuine_rows, dtype=np.float64)
-    impostor = np.asarray(impostor_rows, dtype=np.float64)
+    return (np.asarray(genuine_rows, dtype=np.float64),
+            np.asarray(impostor_rows, dtype=np.float64))
+
+
+def load_dataset(path, modality_count: int, *,
+                 negate_modalities: Iterable[int] = ()) -> ScoreDataset:
+    """Parse a score CSV into a :class:`ScoreDataset` named by the file's stem.
+
+    ``negate_modalities`` lists 0-based modality indices whose scores are
+    multiplied by -1 at ingestion (for distance-style matchers).
+
+    Raises :class:`ScoreFileError` for malformed rows or non-UTF-8 bytes (with
+    line number) and :class:`ValidationError` if either class ends up empty.
+    """
+    path = Path(path)
+    modality_count = check_int("modality_count", modality_count, 2)
+    negate = sorted({check_int("negate_modalities index", i, 0)
+                     for i in negate_modalities})
+    if negate and negate[-1] >= modality_count:
+        raise ValidationError(
+            f"negate_modalities {negate} out of range for {modality_count} modalities"
+        )
+    genuine, impostor = (_load_canonical(path, modality_count)
+                         or _load_reference(path, modality_count))
     if negate:
         genuine[:, negate] *= -1.0
         impostor[:, negate] *= -1.0

@@ -1,5 +1,6 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fusebench import datasets
 from fusebench.baselines import FIXED_RULES, fuse_rule_matrix, fuse_weighted_matrix
 from fusebench.datasets import (
     ScoreDataset,
     SyntheticSpec,
+    _load_canonical,
+    _load_reference,
     dataset_to_csv,
     fuse_classes,
     generate_synthetic,
@@ -27,6 +31,12 @@ from fusebench.trees import evaluate_matrix
 def write(tmp_path, text, name="scores.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return path
+
+
+def save_to(tmp_path, ds):
+    path = tmp_path / f"canonical{len(list(tmp_path.iterdir()))}.csv"
+    save_dataset(ds, path)
     return path
 
 
@@ -101,6 +111,15 @@ class TestLoadDataset:
 
     def test_over_long_field_names_its_line(self, tmp_path):
         path = write(tmp_path, "0.9,0.8,genuine\n" + "1" * 200_000 + ",0.5,genuine\n")
+        with pytest.raises(ScoreFileError, match=r"scores.csv:2: malformed CSV") as exc:
+            load_dataset(path, 2)
+        assert exc.value.line_no == 2
+
+    def test_over_long_finite_field_names_its_line(self, tmp_path):
+        # numpy reads this 200,002-character field as 0.0; the csv module
+        # refuses any field past its limit
+        path = write(tmp_path, "0.9,0.8,genuine\n0." + "0" * 199_999 + "1,0.5,genuine\n"
+                     "0.1,0.2,impostor\n")
         with pytest.raises(ScoreFileError, match=r"scores.csv:2: malformed CSV") as exc:
             load_dataset(path, 2)
         assert exc.value.line_no == 2
@@ -184,6 +203,54 @@ class TestRoundTrip:
         assert all(line.endswith("genuine") for line in lines[:4])
         assert all(line.endswith("impostor") for line in lines[4:])
         assert text.endswith("\n")
+
+
+class TestNumpyReader:
+    """The numpy reader takes every canonical file, and declines the rest
+    without a warning, so only the reference reports a data error."""
+
+    EXTREMES = np.array([[-0.0, 5e-324, 1e300], [0.0, -5e-324, -1e300],
+                         [1e300, 0.5, -0.0], [-1e300, 5e-324, 0.0]])
+
+    def _canonical_files(self, tmp_path, make_gaussian):
+        yield save_to(tmp_path, make_gaussian(seed=5, modalities=3, genuine=9, impostor=14))
+        yield save_to(tmp_path, ScoreDataset(3, self.EXTREMES[:2], self.EXTREMES[2:]))
+        yield save_to(tmp_path, ScoreDataset(3, -self.EXTREMES[2:], -self.EXTREMES[:2]))
+
+    def test_reads_what_dataset_to_csv_writes_bit_for_bit(self, tmp_path, make_gaussian):
+        for path in self._canonical_files(tmp_path, make_gaussian):
+            fast = _load_canonical(path, 3)
+            assert fast is not None
+            for got, want in zip(fast, _load_reference(path, 3)):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("negate", [(), (0, 2)])
+    def test_load_dataset_takes_the_numpy_reader(self, tmp_path, make_gaussian,
+                                                 monkeypatch, negate):
+        for path in self._canonical_files(tmp_path, make_gaussian):
+            genuine, impostor = _load_reference(path, 3)
+            genuine[:, list(negate)] *= -1.0
+            impostor[:, list(negate)] *= -1.0
+            with monkeypatch.context() as patch:
+                patch.setattr(datasets, "_load_reference", None)
+                ds = load_dataset(path, 3, negate_modalities=negate)
+            want = np.concatenate([genuine, impostor])
+            assert np.array_equal(ds.scores.view(np.int64), want.view(np.int64))
+            assert (ds.genuine_count, ds.name) == (genuine.shape[0], path.stem)
+
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank lines"])
+    def test_a_file_without_rows_declines_without_a_warning(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="contains no genuine rows"):
+                load_dataset(path, 2)
+        # numpy warns "input contained no data", which must not escape
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _load_canonical(path, 2) is None
+        assert caught == []
 
 
 class TestSplit:

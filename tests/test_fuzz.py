@@ -1,16 +1,23 @@
 """Fuzzing of the three parsers: the score CSV, the s-expression and the
 normalization params document.  Whatever the input, the only allowed
-outcomes are a result or a ``FusebenchError``; anything else is a crash."""
+outcomes are a result or a ``FusebenchError``; anything else is a crash.
+The score CSV's numpy reader is also checked against its ``csv``-module
+reference, bit for bit."""
 
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from fusebench.datasets import ScoreDataset, load_dataset
+from fusebench.datasets import (
+    ScoreDataset,
+    _load_canonical,
+    _load_reference,
+    load_dataset,
+)
 from fusebench.errors import FusebenchError
 from fusebench.normalization import TanhNormalizer, normalizer_from_json
 from fusebench.trees import (
@@ -71,6 +78,134 @@ def test_load_dataset_returns_a_dataset_or_a_fusebench_error(
     assert isinstance(ds, ScoreDataset)
     assert ds.genuine_count >= 1 and ds.impostor_count >= 1
     assert np.all(np.isfinite(ds.genuine)) and np.all(np.isfinite(ds.impostor))
+
+
+# repr-spelled finite scores, weighted toward signed zeros, the smallest
+# subnormal and values near the ends of float64
+_NEAR_VALID_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003"]
+# each takes (draw, rows) and edits the cell grid in place
+_ROW_MUTATIONS = {
+    "quoted cell": lambda draw, rows: _edit_cell(draw, rows, lambda c: f'"{c}"'),
+    "underscore": lambda draw, rows: _edit_cell(
+        draw, rows, lambda c: c.replace("0", "0_0", 1) if "0" in c else c + "_1"),
+    "unicode digit": lambda draw, rows: _edit_cell(
+        draw, rows, lambda c: c.replace(c.lstrip("-")[0], draw(st.sampled_from(
+            ["\uff11", "\u0661", "\u0967"])), 1)),
+    # float() strips " ", TAB, VT and FF but not 0x1c-0x1f, which numpy strips
+    "whitespace": lambda draw, rows: _edit_cell(
+        draw, rows, lambda c: draw(st.sampled_from(_SPACES)) + c + draw(st.sampled_from(_SPACES))),
+    "label case": lambda draw, rows: _edit_label(draw, rows, str.upper),
+    "label padding": lambda draw, rows: _edit_label(
+        draw, rows, lambda c: draw(st.sampled_from([" ", "\t", ""])) + c
+        + draw(st.sampled_from([" ", "  ", "x", "sss"]))),
+    "non-finite": lambda draw, rows: _edit_cell(
+        draw, rows, lambda c: draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))),
+    "one class": lambda draw, rows: _edit_label(draw, rows, lambda c: "genuine", every=True),
+    "extra column": lambda draw, rows: _last_rows_first(draw, rows).append("0.5"),
+    "missing column": lambda draw, rows: _last_rows_first(draw, rows).pop(0),
+    # a field just under, then just over, the csv module's 131,072 characters
+    "long field": lambda draw, rows: _edit_cell(
+        draw, rows, lambda c: "0." + "0" * draw(st.sampled_from([131_066, 131_070])) + "1"),
+}
+_TEXT_MUTATIONS = {
+    "BOM": lambda draw, text: "\ufeff" + text,
+    "CRLF": lambda draw, text: text.replace("\n", "\r\n"),
+    "lone CR": lambda draw, text: _splice(draw, text, "\r"),
+    "NUL": lambda draw, text: _splice(draw, text, "\x00"),
+    "header": lambda draw, text: draw(st.sampled_from(
+        ["face,voice,label\n", "s1,s2,s3,s4,label\n", "x\n", "  \n"])) + text,
+    "blank line": lambda draw, text: _splice_line(draw, text, "\n"),
+    "whitespace line": lambda draw, text: _splice_line(
+        draw, text, draw(st.sampled_from([" \n", "\t\n", "\x0c\n", ",\n"]))),
+    "no final newline": lambda draw, text: text.rstrip("\n"),
+}
+
+
+def _last_rows_first(draw, rows):
+    # a non-numeric first cell of line 1 makes it a header, hiding the edit
+    return rows[-1 - draw(st.integers(0, len(rows) - 1))]
+
+
+def _edit_cell(draw, rows, edit):
+    row = _last_rows_first(draw, rows)
+    col = draw(st.integers(0, max(len(row) - 2, 0)))
+    row[col] = edit(row[col])
+
+
+def _edit_label(draw, rows, edit, every=False):
+    for row in rows if every else [_last_rows_first(draw, rows)]:
+        row[-1] = edit(row[-1])
+
+
+def _splice(draw, text, junk):
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + junk + text[at:]
+
+
+def _splice_line(draw, text, line):
+    lines = text.split("\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    return "\n".join(lines[:at] + [line.rstrip("\n")] + lines[at:])
+
+
+@st.composite
+def near_valid_score_files(draw):
+    """A modality count and a canonical score file as ``dataset_to_csv``
+    writes it, with both classes, plus up to two mutations that may take it
+    off the fast path."""
+    modalities = draw(st.integers(2, 4))
+    labels = ["genuine", "impostor"] + draw(st.lists(st.sampled_from(["genuine", "impostor"]),
+                                                     max_size=4))
+    rows = [draw(st.lists(_NEAR_VALID_SCORES, min_size=modalities, max_size=modalities))
+            + [label]
+            for label in draw(st.permutations(labels))]
+    mutations = draw(st.lists(st.sampled_from(sorted(_ROW_MUTATIONS) + sorted(_TEXT_MUTATIONS)),
+                              max_size=2, unique=True))
+    for name in mutations:
+        if name in _ROW_MUTATIONS:
+            _ROW_MUTATIONS[name](draw, rows)
+    text = "".join(",".join(row) + "\n" for row in rows)
+    for name in mutations:
+        if name in _TEXT_MUTATIONS:
+            text = _TEXT_MUTATIONS[name](draw, text)
+    return modalities, text.encode("utf-8")
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args), None
+    except FusebenchError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(FUZZ, max_examples=400)
+@given(case=near_valid_score_files())
+# numpy strips 0x1c-0x1f around a number, and reads a field of any length
+@example(case=(2, b"0.1,0.2,impostor\n\x1c0.5,1.0,genuine\n"))
+@example(case=(2, b"0.1,0.2,impostor\n0." + b"0" * 131_070 + b"1,1.0,genuine\n"))
+def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, case):
+    """The numpy reader returns the reference's bits and class counts, or
+    declines and ``load_dataset`` gives the reference's result or error."""
+    modalities, data = case
+    fuzz_csv.write_bytes(data)
+    reference, error = _outcome(_load_reference, fuzz_csv, modalities)
+    fast = _load_canonical(fuzz_csv, modalities)
+    event("numpy reader " + ("declined" if fast is None else "accepted"))
+    if fast is None:
+        loaded, loaded_error = _outcome(load_dataset, fuzz_csv, modalities)
+        assert loaded_error == error
+        if error is None:
+            fast = (loaded.genuine, loaded.impostor)
+    if error is None:
+        for got, want in zip(fast, reference):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        assert fast is None
 
 
 # finite scores that include zeros, ties and the extremes of float64
