@@ -7,11 +7,15 @@ EER.  Every method is a row-wise fusion of a normalized score matrix into
 one fused score per row, and :func:`fusebench.datasets.fuse_classes`
 applies one to both classes of a dataset in one call.
 
-The weighted sum is computed as ``(scores * w).sum(axis=1)`` so that the
-all-ones weight vector reproduces the plain sum rule bit-for-bit (same
-reduction order), which the GA exploits by seeding an equal-weight
-chromosome: the tuned result can never be worse than the sum rule on the
-training set.
+The weighted sum gives, for every layout of the matrix, the bits of
+``(np.ascontiguousarray(scores) * w).sum(axis=1)``, so the all-ones weight
+vector reproduces the sum rule bit for bit.  The GA exploits that by seeding
+an equal-weight chromosome: the tuned result can never be worse than the
+sum rule on the training set.  It is computed one column at a time, each
+product added in place into whole-column accumulators, in the order numpy's
+pairwise row sum adds a row's values.  Floating-point addition is not
+associative, so only that order gives the row sum's bits; the GA fuses a
+Fortran-order copy of its training matrix, whose columns are contiguous.
 
 The GA supplies its initial population and breeding to the loop it shares
 with the GP, :func:`fusebench.gp.generational_search`.  Randomness: one
@@ -92,25 +96,71 @@ class BaselineReport:
     ga_result: "EvolutionResult | None"
 
 
+def _score_matrix(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] == 0:
+        raise ValidationError(f"expected a non-empty 2-D matrix, got {scores.shape}")
+    return scores
+
+
 def fuse_rule_matrix(rule: str, scores) -> np.ndarray:
     """Apply the fixed rule named ``rule`` to every row of an (n, m) matrix."""
     if rule not in FIXED_RULES:
         raise ValidationError(f"unknown rule {rule!r}; choose from {list(FIXED_RULES)}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] == 0:
-        raise ValidationError(f"expected a non-empty 2-D matrix, got {scores.shape}")
-    return FIXED_RULES[rule](scores, axis=1)
+    return FIXED_RULES[rule](_score_matrix(scores), axis=1)
 
 
 def fuse_weighted_matrix(weights, scores) -> np.ndarray:
     """Weighted sum per row; all-ones weights reproduce the sum rule exactly."""
     w = np.asarray(weights, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or w.shape != (scores.shape[1],):
+    scores = _score_matrix(scores)
+    if w.shape != (scores.shape[1],):
         raise ValidationError(
             f"weight length {w.size} does not match matrix shape {scores.shape}"
         )
-    return (scores * w).sum(axis=1)
+    fused = _sum_products(scores, w, 0, w.size)
+    fused += 0.0  # numpy adds each row's sum to +0.0, so a -0.0 sum is +0.0
+    return fused
+
+
+def _sum_products(scores, w, lo: int, hi: int) -> np.ndarray:
+    """Sum ``scores[:, j] * w[j]`` over columns ``lo..hi-1`` in the order of
+    numpy's pairwise sum of a row, before its final ``+ 0.0``.
+
+    Fewer than 8 terms are added in order; numpy adds them to a zero, and
+    starting from the first term instead changes only the sign of a zero
+    sum, which the final ``+ 0.0`` clears.  Up to 128, eight accumulators
+    take the first eight terms and each later full block of eight, combine
+    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the leftover terms
+    follow in order.  A longer row splits at a multiple of 8 near its
+    middle, and the two halves' sums are added.
+    """
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - (n // 2) % 8
+        fused = _sum_products(scores, w, lo, mid)
+        fused += _sum_products(scores, w, mid, hi)
+        return fused
+    buf = np.empty(scores.shape[0])
+
+    def add(total, j):
+        total += np.multiply(scores[:, j], w[j], out=buf)
+
+    if n < 8:
+        fused = scores[:, lo] * w[lo]
+        for j in range(lo + 1, hi):
+            add(fused, j)
+        return fused
+    acc = [scores[:, j] * w[j] for j in range(lo, lo + 8)]
+    tail = hi - n % 8
+    for j in range(lo + 8, tail):
+        add(acc[(j - lo) % 8], j)
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+        acc[a] += acc[b]
+    fused = acc[0]
+    for j in range(tail, hi):
+        add(fused, j)
+    return fused
 
 
 def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
@@ -126,8 +176,10 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
     return q_norm * (1.0 - q) ** np.arange(population_size, dtype=np.float64)
 
 
-def _weighted_eer(w: np.ndarray, train: ScoreDataset) -> float:
-    return sweep_roc(fuse_classes(partial(fuse_weighted_matrix, w), train)).eer
+def _weighted_eer(w: np.ndarray, scores: np.ndarray, genuine_count: int) -> float:
+    """Sweep EER of the weighted sum over a stacked matrix, genuine rows first."""
+    fused = fuse_weighted_matrix(w, scores)
+    return sweep_roc(FusedScores(fused[:genuine_count], fused[genuine_count:])).eer
 
 
 def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
@@ -147,7 +199,10 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     the children scored so far in this one; :func:`_weighted_eer`, looked up
     at call time, runs once per chromosome new to that window.  A repeat
     gets the float that the same bytes gave through the same deterministic
-    fusion and sweep, so no result changes.
+    fusion and sweep, so no result changes.  Every call fuses one
+    Fortran-order copy of the training matrix, whose columns
+    :func:`fuse_weighted_matrix` reads contiguously, with the bits it gives
+    for the C-order matrix.
     """
     check_score_spread(train)
     n = train.modality_count
@@ -157,11 +212,12 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
     known: dict[bytes, float] = {}  # chromosome bytes -> training EER
+    scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
 
     def score(w):
         key = w.tobytes()
         if key not in known:
-            known[key] = _weighted_eer(w, train)
+            known[key] = _weighted_eer(w, scores, train.genuine_count)
         return known[key]
 
     def breed(_generation, population, fits, order, count):

@@ -18,9 +18,10 @@ Datasets are immutable once constructed and keep rows in ingestion order,
 which the half/half splitting protocol relies on.  Each stores one stacked
 C-order ``scores`` matrix, genuine rows first, and :func:`fuse_classes`
 fuses both classes in one call over it.  C-order keeps each row's values
-contiguous, so a row-wise reduction sums them in the order it would per
-class; over a Fortran-order matrix the weighted sum's bits change from 8
-modalities up.
+contiguous, so a row-wise rule such as the sum rule reduces them in the
+order it would per class; over a Fortran-order matrix the sum rule's bits
+change from 8 modalities up.  The weighted sum adds whole columns in the
+row sum's order, so its bits are the same for either layout.
 """
 
 from __future__ import annotations
@@ -292,12 +293,13 @@ def load_dataset(path, modality_count: int, *,
 def dataset_to_csv(ds: ScoreDataset) -> str:
     """Canonical CSV form: no header, genuine rows first, LF line endings.
 
-    Float cells use ``repr`` so a load/save round trip is byte-exact.
+    Float cells use ``repr`` so a load/save round trip is byte-exact.  The
+    whole file is one ``%`` format, whose ``%r`` calls that same ``repr``.
     """
-    labels = ["genuine"] * ds.genuine_count + ["impostor"] * ds.impostor_count
-    lines = (",".join(map(repr, row)) + f",{label}"
-             for row, label in zip(ds.scores.tolist(), labels))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%r"] * ds.modality_count)
+    template = ((row + ",genuine\n") * ds.genuine_count
+                + (row + ",impostor\n") * ds.impostor_count)
+    return template % tuple(ds.scores.ravel().tolist())
 
 
 def save_dataset(ds: ScoreDataset, path) -> None:

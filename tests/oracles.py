@@ -145,3 +145,12 @@ def naive_preorder(node, depth=0):
         pairs += naive_preorder(node.left, depth + 1)
         pairs += naive_preorder(node.right, depth + 1)
     return pairs
+
+
+def naive_dataset_to_csv(ds):
+    """Canonical CSV text built row by row: ``repr`` cells, a label column,
+    genuine rows first, one LF after every row."""
+    labels = ["genuine"] * ds.genuine_count + ["impostor"] * ds.impostor_count
+    lines = (",".join(map(repr, row)) + f",{label}"
+             for row, label in zip(ds.scores.tolist(), labels))
+    return "\n".join(lines) + "\n"

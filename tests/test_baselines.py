@@ -39,6 +39,36 @@ def weighted_scores(weights, ds):
     return fuse_classes(partial(fuse_weighted_matrix, weights), ds)
 
 
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+# 2-7 take the running sum, 8-20, 127 and 128 the eight accumulators, and
+# 129 and 135 the split into halves
+WEIGHTED_MODALITIES = [*range(2, 21), 127, 128, 129, 135]
+
+
+def extreme_scores(rng, modalities: int, rows: int = 40) -> np.ndarray:
+    """Scores of mixed exponents and signs, with signed-zero, subnormal,
+    +-1e300 and +-1e308 rows; weights beyond +-1.8 overflow the last to
+    +-inf."""
+    exponents = rng.integers(-300, 301, (rows, modalities))
+    scores = rng.standard_normal((rows, modalities)) * 10.0 ** exponents
+    scores[rng.random(scores.shape) < 0.1] = -0.0
+    scores[0] = -0.0
+    scores[1] = 0.0
+    scores[2, ::2] = -0.0
+    scores[2, 1::2] = 0.0
+    scores[3] = 5e-324
+    scores[4, ::2] = -5e-324
+    scores[5, ::2] = 1e300
+    scores[5, 1::2] = -1e300
+    scores[6] = 1e308
+    scores[7, ::2] = 1e308
+    scores[7, 1::2] = -1e308  # inf - inf: nan
+    return scores
+
+
 def normalized_split(ds) -> SplitPair:
     split = split_dataset(ds)
     norm = fit_tanh_normalizer(split.train)
@@ -117,6 +147,72 @@ class TestWeightedSum:
         assert np.array_equal(
             fs.impostor, (tiny_dataset.impostor * [0.5, 0.5]).sum(axis=1)
         )
+
+
+class TestColumnOrderWeightedSum:
+    """The column-by-column sum gives numpy's row-sum bits in either layout."""
+
+    @pytest.mark.parametrize("modalities", WEIGHTED_MODALITIES)
+    def test_matches_the_row_sum_bitwise(self, modalities):
+        rng = np.random.default_rng(modalities)
+        scores = extreme_scores(rng, modalities)
+        weight_vectors = [np.ones(modalities), -np.ones(modalities),
+                          np.full(modalities, 10.0),
+                          *rng.uniform(-10.0, 10.0, (3, modalities))]
+        seen = np.zeros(3, dtype=bool)
+        for w in weight_vectors:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = (np.ascontiguousarray(scores) * w).sum(axis=1)
+                for layout in (scores, np.asfortranarray(scores)):
+                    assert np.array_equal(bits(fuse_weighted_matrix(w, layout)),
+                                          bits(want))
+            seen |= [np.isinf(want).any(), np.isnan(want).any(),
+                     (bits(want) == 0).any()]
+        assert seen.all()  # the inf, nan and +0.0 rows were really summed
+
+    def test_rejects_a_matrix_without_columns(self):
+        with pytest.raises(ValidationError, match="non-empty 2-D"):
+            fuse_weighted_matrix([], np.zeros((4, 0)))
+
+
+class TestSignedZero:
+    """A row of -0.0 sums to +0.0 in numpy's row sum; the column order keeps
+    that, and the GA's Fortran-order fitness keeps every EER."""
+
+    @pytest.mark.parametrize("modalities", WEIGHTED_MODALITIES)
+    def test_negative_zero_rows_match_the_sum_rule(self, modalities):
+        matrix = np.full((4, modalities), -0.0)
+        matrix[2, 0] = 0.5
+        matrix[3, ::2] = 0.0
+        want = fuse_rule_matrix("sum", matrix)
+        assert bits(want)[0] == 0  # +0.0
+        for layout in (matrix, np.asfortranarray(matrix)):
+            got = fuse_weighted_matrix(np.ones(modalities), layout)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("modalities", WEIGHTED_MODALITIES)
+    def test_ga_fitness_equals_the_swept_weighted_sum(self, modalities, monkeypatch):
+        rng = np.random.default_rng(modalities)
+        genuine = rng.normal(1.0, 1.0, (20, modalities))
+        impostor = rng.normal(0.0, 1.0, (40, modalities))
+        genuine[:3] = -0.0
+        impostor[:5] = -0.0
+        ds = ScoreDataset(modalities, genuine, impostor)
+        fresh = baselines._weighted_eer
+        seen = []
+
+        def recorded(w, scores, genuine_count):
+            assert scores.flags.f_contiguous and genuine_count == ds.genuine_count
+            assert np.array_equal(bits(fuse_weighted_matrix(w, scores)),
+                                  bits(fuse_weighted_matrix(w, ds.scores)))
+            seen.append((w, fresh(w, scores, genuine_count)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(baselines, "_weighted_eer", recorded)
+        ga_tune_weights(ds, tiny_ga_config(population_size=12, generations=3))
+        assert len(seen) >= 12  # the initial population at least
+        for w, value in seen:
+            assert value == sweep_roc(weighted_scores(w, ds)).eer
 
 
 class TestSingleModality:
@@ -309,17 +405,17 @@ class TestGaFitnessMemo:
         # chromosome bytes of the previous generation, and of this one's sweeps
         window = [set(), set()]
 
-        def counted_eer(w, train):
+        def counted_eer(w, *args):
             key = w.tobytes()
             assert key not in window[0] and key not in window[1]
             window[1].add(key)
             swept.append(key)
-            return fresh(w, train)
+            return fresh(w, *args)
 
         def checked_search(population, score, breed, *args):
             def checked_score(w):
                 value = score(w)
-                assert value == fresh(w, ds)
+                assert value == fresh(w, ds.scores, ds.genuine_count)
                 returned.append(value)
                 return value
 

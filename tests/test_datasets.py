@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fusebench import datasets
@@ -26,6 +26,15 @@ from fusebench.errors import ScoreFileError, ValidationError
 from fusebench.gp import EvolutionConfig, ramped_half_and_half, terminal_set
 from fusebench.metrics import FusedScores, exact_eer
 from fusebench.trees import evaluate_matrix
+from oracles import naive_dataset_to_csv
+
+
+# floats whose repr takes each form: signed zeros, subnormals, exponents
+WRITER_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5,
+                     1e300, -1e300, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def write(tmp_path, text, name="scores.csv"):
@@ -195,6 +204,16 @@ class TestRoundTrip:
         loaded = load_dataset(path, 3)
         np.testing.assert_array_equal(loaded.genuine, ds.genuine)
         np.testing.assert_array_equal(loaded.impostor, ds.impostor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(classes=st.integers(2, 5).flatmap(lambda m: st.tuples(*[st.lists(
+        st.lists(WRITER_FLOATS, min_size=m, max_size=m), min_size=1, max_size=6)] * 2)))
+    @example(classes=([[-0.0, 5e-324, 1e16], [1e-5, 1e300, -1e300]],
+                      [[0.0, -5e-324, -1e16], [-1e-5, 0.1, 1.0]]))
+    def test_one_format_writes_the_row_by_row_text(self, classes):
+        genuine, impostor = classes
+        ds = ScoreDataset(len(genuine[0]), np.array(genuine), np.array(impostor))
+        assert dataset_to_csv(ds).encode() == naive_dataset_to_csv(ds).encode()
 
     def test_csv_layout(self, tiny_dataset):
         text = dataset_to_csv(tiny_dataset)
@@ -374,10 +393,11 @@ def bits(values):
 
 
 class TestStackedScores:
-    @pytest.mark.parametrize("modalities", [2, 5, 8, 12])
+    @pytest.mark.parametrize("modalities", [2, 5, 7, 8, 9, 12, 17])
     def test_one_stacked_call_matches_one_call_per_class_bitwise(self, modalities):
         # each class is fused apart as the C-order array it was given; from 8
-        # modalities up a Fortran-order stacked matrix sums rows in another order
+        # modalities up the sum rule over a Fortran-order stacked matrix would
+        # add each row's values in another order
         rng = np.random.default_rng(modalities)
         genuine = rng.uniform(0.0, 1.0, (37, modalities))
         impostor = rng.uniform(0.0, 1.0, (211, modalities))
