@@ -33,7 +33,7 @@ import numpy as np
 from .datasets import ScoreDataset, SplitPair, fuse_classes
 from .errors import ValidationError, check_int
 from .gp import EvolutionResult, check_score_spread, draw_rank, generational_search
-from .metrics import FusedScores, RocCurve, auc, hter, sweep_roc
+from .metrics import FusedScores, RocCurve, auc, hter, sweep_eer, sweep_roc
 
 WEIGHT_LO = -10.0
 WEIGHT_HI = 10.0
@@ -179,7 +179,7 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
 def _weighted_eer(w: np.ndarray, scores: np.ndarray, genuine_count: int) -> float:
     """Sweep EER of the weighted sum over a stacked matrix, genuine rows first."""
     fused = fuse_weighted_matrix(w, scores)
-    return sweep_roc(FusedScores(fused[:genuine_count], fused[genuine_count:])).eer
+    return sweep_eer(fused[:genuine_count], fused[genuine_count:])
 
 
 def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:

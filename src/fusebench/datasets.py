@@ -290,21 +290,32 @@ def load_dataset(path, modality_count: int, *,
     return ScoreDataset(modality_count, genuine, impostor, name=path.stem)
 
 
-def dataset_to_csv(ds: ScoreDataset) -> str:
-    """Canonical CSV form: no header, genuine rows first, LF line endings.
+_CSV_BLOCK_ROWS = 4096  # rows per formatted block; bounds the text held at once
 
-    Float cells use ``repr`` so a load/save round trip is byte-exact.  The
-    whole file is one ``%`` format, whose ``%r`` calls that same ``repr``.
+
+def _csv_blocks(ds: ScoreDataset) -> Iterable[str]:
+    """The canonical CSV text in blocks of at most ``_CSV_BLOCK_ROWS`` rows.
+
+    Float cells use ``repr`` so a load/save round trip is byte-exact.  Each
+    block is one ``%`` format, whose ``%r`` calls that same ``repr``.
     """
     row = ",".join(["%r"] * ds.modality_count)
-    template = ((row + ",genuine\n") * ds.genuine_count
-                + (row + ",impostor\n") * ds.impostor_count)
-    return template % tuple(ds.scores.ravel().tolist())
+    for label, rows in zip(_LABELS, (ds.genuine, ds.impostor)):
+        line = f"{row},{label}\n"
+        for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def dataset_to_csv(ds: ScoreDataset) -> str:
+    """Canonical CSV form: no header, genuine rows first, LF line endings."""
+    return "".join(_csv_blocks(ds))
 
 
 def save_dataset(ds: ScoreDataset, path) -> None:
+    """Write :func:`dataset_to_csv`'s text one row block at a time."""
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
-        handle.write(dataset_to_csv(ds))
+        handle.writelines(_csv_blocks(ds))
 
 
 def split_dataset(ds: ScoreDataset) -> SplitPair:

@@ -4,8 +4,9 @@ The engine is a classic generational GP:
 
 * initialization by ramped half-and-half over depths 2..8 (function nodes
   forced at depths 0 and 1 so every tree has a function root and depth >= 2);
-* fitness of a tree = EER of its fused scores on the training set, via the
-  1000-point threshold sweep (lower is better);
+* fitness of a tree = EER of its fused scores on the training set, read
+  from the 1000-point threshold sweep by :func:`fusebench.metrics.sweep_eer`
+  (lower is better);
 * tournament selection of size 10: contestants ranked by fitness, rank r
   wins with probability 0.8 * 0.2^r, residual mass on the worst rank;
 * subtree crossover keeping only the first offspring (the swap slot in the
@@ -32,13 +33,13 @@ import bisect
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .datasets import ScoreDataset, fuse_classes
+from .datasets import ScoreDataset
 from .errors import ValidationError, check_int
-from .metrics import sweep_roc
+# sweep_roc is unused here but kept: benchmarks/spans.py rebinds gp.sweep_roc
+from .metrics import sweep_eer, sweep_roc
 from .trees import (
     FUNCTION_OPS,
     MAX_TREE_DEPTH,
@@ -137,9 +138,11 @@ def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
 def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
     """Sweep EER of the tree's fused scores; lower is better.
 
+    :func:`sweep_eer` reads the EER straight from class views of the fused
+    vector, with the bits of ``sweep_roc(fuse_classes(...)).eer``.
     A tree that reads no variable (``root.max_var == -1``) scores 0.5 with
     no evaluation and no sweep: it fuses every row to the same finite
-    value, for which :func:`sweep_roc` gives exactly the chance level 0.5.
+    value, for which the sweep gives exactly the chance level 0.5.
     Inside :func:`evolve`, a tree scored on the run's training set reuses
     the run's subtree columns; the fused scores are the same bits.
     """
@@ -148,7 +151,8 @@ def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
     cache = _RUN_CACHE.get()
     if cache is not None and cache.scores is not ds.scores:
         cache = None
-    return sweep_roc(fuse_classes(partial(evaluate_matrix, tree, cache=cache), ds)).eer
+    fused = evaluate_matrix(tree, ds.scores, cache=cache)
+    return sweep_eer(fused[:ds.genuine_count], fused[ds.genuine_count:])
 
 
 def _random_terminal(terminals, rng) -> Node:

@@ -215,6 +215,18 @@ class TestRoundTrip:
         ds = ScoreDataset(len(genuine[0]), np.array(genuine), np.array(impostor))
         assert dataset_to_csv(ds).encode() == naive_dataset_to_csv(ds).encode()
 
+    @pytest.mark.parametrize("block_rows", [3, datasets._CSV_BLOCK_ROWS])
+    def test_row_blocks_write_the_row_by_row_text(self, tmp_path, monkeypatch, block_rows):
+        # class sizes that are not multiples of the block, plus an exact one
+        monkeypatch.setattr(datasets, "_CSV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(8)
+        ds = ScoreDataset(2, rng.normal(size=(2 * block_rows + 1, 2)),
+                          rng.normal(size=(block_rows, 2)))
+        path = tmp_path / "blocks.csv"
+        save_dataset(ds, path)
+        expected = naive_dataset_to_csv(ds).encode()
+        assert path.read_bytes() == dataset_to_csv(ds).encode() == expected
+
     def test_csv_layout(self, tiny_dataset):
         text = dataset_to_csv(tiny_dataset)
         lines = text.splitlines()

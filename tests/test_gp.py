@@ -209,7 +209,30 @@ class TestFitness:
 
         monkeypatch.setattr(gp, "evaluate_matrix", forbidden)
         monkeypatch.setattr(gp, "sweep_roc", forbidden)
+        monkeypatch.setattr(gp, "sweep_eer", forbidden)
         assert fitness(tree, tiny_dataset) == swept == 0.5
+
+    def test_every_scored_tree_gets_the_sweep_roc_eer_bits(self, make_gaussian, monkeypatch):
+        ds = make_gaussian(seed=17, modalities=3, genuine=50, impostor=90)
+        scored = []
+
+        def recorded(tree, train):
+            value = fitness(tree, train)
+            scored.append((tree, train, value))
+            return value
+
+        monkeypatch.setattr(gp, "fitness", recorded)
+        evolve(ds, small_config(max_generations=3))
+        assert len(scored) >= 90
+        # trees that read a variable but fuse every row to one value
+        for sexpr in ("(sub (var 0) (var 0))", "(div (var 1) (const 0.0))",
+                      "(mul (var 2) (const -0.0))"):
+            tree = parse_sexpr(sexpr)
+            scored.append((tree, ds, fitness(tree, ds)))
+            assert scored[-1][2] == 0.5
+        for tree, train, value in scored:
+            swept = sweep_roc(fuse_classes(partial(evaluate_matrix, tree), train)).eer
+            assert np.float64(value).view(np.int64) == np.float64(swept).view(np.int64)
 
     def test_sum_tree_equals_sum_rule_eer(self, make_gaussian):
         ds = make_gaussian(seed=5, modalities=2)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusebench.errors import UndefinedGainError, ValidationError
 from fusebench.metrics import (
@@ -15,6 +17,7 @@ from fusebench.metrics import (
     gain,
     hter,
     roc_to_csv,
+    sweep_eer,
     sweep_roc,
 )
 from oracles import naive_auc, naive_exact_eer, naive_far, naive_frr, naive_sweep_eer
@@ -109,6 +112,92 @@ class TestSweep:
         assert sweep_roc(fs).eer == naive_sweep_eer(
             fs.genuine.tolist(), fs.impostor.tolist()
         )
+
+
+def eer_bits(value) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def assert_sweep_eer_matches(genuine, impostor):
+    genuine = np.asarray(genuine, dtype=np.float64)
+    impostor = np.asarray(impostor, dtype=np.float64)
+    expected = sweep_roc(FusedScores(genuine, impostor)).eer
+    assert eer_bits(sweep_eer(genuine, impostor)) == eer_bits(expected)
+
+
+def assert_raises_as_fused_scores(genuine, impostor):
+    with pytest.raises(ValidationError) as expected:
+        FusedScores(genuine, impostor)
+    with pytest.raises(ValidationError) as got:
+        sweep_eer(np.array(genuine), np.array(impostor))
+    assert str(got.value) == str(expected.value)
+
+
+# scores within the +-1e100 that trees and weighted sums stay inside, with
+# subnormals and -0.0; drawing from a small pool makes tied scores and
+# long plateaus of equal counts likely
+SCORES = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def score_classes(draw):
+    pool = draw(st.lists(SCORES, min_size=1, max_size=6))
+    value = st.one_of(st.sampled_from(pool), SCORES)
+    genuine = draw(st.lists(value, min_size=1, max_size=40))
+    impostor = draw(st.lists(value, min_size=1, max_size=120))
+    return genuine, impostor
+
+
+class TestSweepEer:
+    """sweep_eer must give sweep_roc's EER bits: the same grid index under
+    the lowest-index tie rule, and the same float expression there."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(classes=score_classes())
+    @example(classes=([0.1, 0.2, 0.2, 0.3, 0.5], [0.0, 0.2, 0.2, 0.3, 0.3, 0.4]))  # ties
+    @example(classes=([0.25] * 3, [0.25] * 7))  # constant
+    @example(classes=([0.7], [0.2]))  # one element each
+    @example(classes=([0.7], [0.9]))
+    @example(classes=([1e100, -1e100, 0.0], [-1e100, 1e100, 1.0]))
+    @example(classes=([-0.0, 0.0], [0.0, -0.0]))
+    @example(classes=([-0.0, 1.0], [0.0, -1.0]))
+    @example(classes=([5e-324, -5e-324, 2.2e-308], [0.0, -5e-324, 1e-310]))
+    @example(classes=([0.8, 0.9, 1.0], [0.0, 0.1, 0.2]))  # separable
+    @example(classes=([0.0, 0.1, 0.2], [0.8, 0.9, 1.0]))  # separable, reversed
+    def test_matches_sweep_roc_bitwise(self, classes):
+        assert_sweep_eer_matches(*classes)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sweep_roc_on_large_classes(self, seed):
+        """Gaussian, rounded, constant, shifted and separable draws, with
+        up to 3,000 impostors so that plateaus span many grid points."""
+        rng = np.random.default_rng(seed)
+        for case in range(12):
+            genuine = rng.normal(rng.uniform(0.0, 3.0), 1.0, int(rng.integers(1, 300)))
+            impostor = rng.normal(0.0, 1.0, int(rng.integers(1, 3000)))
+            kind = case % 6
+            if kind == 1:
+                genuine, impostor = np.round(genuine, 1), np.round(impostor, 1)
+            elif kind == 2:
+                genuine[:], impostor[:] = 0.375, 0.375
+            elif kind == 3:
+                genuine += 20.0
+            elif kind == 4:
+                impostor += 20.0
+            elif kind == 5:
+                genuine, impostor = np.round(2 * genuine) / 2, np.round(impostor)
+            assert_sweep_eer_matches(genuine, impostor)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["genuine", "impostor"])
+    def test_non_finite_scores_raise_as_fused_scores_does(self, bad, where):
+        clean, dirty = [0.1, 0.6], [0.3, bad, 0.2]
+        args = (dirty, clean) if where == "genuine" else (clean, dirty)
+        assert_raises_as_fused_scores(*args)
+
+    @pytest.mark.parametrize("args", [([], [0.1]), ([0.1], []), ([], [])])
+    def test_empty_class_raises_as_fused_scores_does(self, args):
+        assert_raises_as_fused_scores(*args)
 
 
 class TestExactEer:
