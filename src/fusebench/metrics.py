@@ -112,6 +112,8 @@ def _eer_index(fs: FusedScores, imp_ge: np.ndarray, gen_lt: np.ndarray) -> int:
 def _threshold_grid(lo, hi) -> np.ndarray:
     """The sweep's thresholds: grid point k is lo + k * (hi - lo) / 999."""
     lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"score range [{lo!r}, {hi!r}] overflows float64")
     k = np.arange(SWEEP_POINTS, dtype=np.float64)
     return lo + k * (hi - lo) / (SWEEP_POINTS - 1)
 

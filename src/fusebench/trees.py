@@ -15,12 +15,12 @@ every op in the set, no intermediate can reach infinity and no NaN can arise.
 A function node without a variable (``max_var == -1``) is folded when it is
 built: its ``value`` is the float the interpreter would compute, and
 constants and folded nodes evaluate to that float, which numpy broadcasts
-against the columns.  A :class:`ColumnCache` keeps the columns of recently
-evaluated variable-holding function nodes of one score matrix, keyed by
-node identity: genetic operators rebuild only the path from the root to
-the changed slot, so a bred tree shares every other node with its parents.
-Every column is computed by the same element-wise operations with or
-without the cache, so cached and uncached results agree bit for bit.
+against the columns.  Every evaluation reads through a :class:`ColumnCache`
+of one score matrix, which keeps the columns of recently evaluated
+variable-holding function nodes within ``CACHE_BYTES``, keyed by node
+identity: genetic operators rebuild only the path from the root to the
+changed slot, so a bred tree shares every other node with its parents.
+What the cache holds never changes a result's bits.
 
 Trees serialize to s-expressions such as ``(add (var 0) (const 0.5))`` and
 parse back exactly, up to ``MAX_TREE_DEPTH`` levels of nesting.
@@ -83,9 +83,9 @@ def _apply(op: str, a, b):
     return out
 
 
-# Function-node columns one ColumnCache holds: about 1 MB on a banca-shape
-# training half and 252 MB on a bssr1-shape one (131,072 rows).
-CACHE_COLUMNS = 240
+# Bytes of function-node columns one ColumnCache holds: 240 columns of a
+# banca-shape training half (546 rows), one of a bssr1-shape one (131,072).
+CACHE_BYTES = 1 << 20
 # Deepest tree the parser accepts and GP may breed; comparing, printing and
 # evaluating recurse per level, so it sits well below the recursion limit.
 MAX_TREE_DEPTH = 200
@@ -220,13 +220,18 @@ class ColumnCache:
     while the cache is in use; it clamps that matrix once and keeps the
     clamped copy column-contiguous.  Entries are keyed by ``id(node)`` and
     hold ``(node, column)``, so the id of a cached node is never reused.
-    Columns are read-only, and at most ``CACHE_COLUMNS`` are kept.
+    Columns are read-only; the oldest are evicted until ``nbytes``, their
+    total size, is at most ``CACHE_BYTES``, and a larger column is not kept.
     """
 
-    def __init__(self, scores: np.ndarray):
+    def __init__(self, scores):
         self.scores = scores
-        self.clamped = _clamped_matrix(scores, order="F")
+        clamped = np.asarray(scores, dtype=np.float64)
+        if clamped.ndim != 2:
+            raise ValidationError(f"expected a 2-D score matrix, got shape {clamped.shape}")
+        self.clamped = np.clip(clamped, -VALUE_CLAMP, VALUE_CLAMP, order="F")
         self.clamped.flags.writeable = False
+        self.nbytes = 0
         self._entries: OrderedDict[int, tuple[Func, np.ndarray]] = OrderedDict()
 
     def get(self, node: Func) -> np.ndarray | None:
@@ -237,33 +242,26 @@ class ColumnCache:
         return entry[1]
 
     def put(self, node: Func, column: np.ndarray) -> None:
+        if column.nbytes > CACHE_BYTES:
+            return
         column.flags.writeable = False
         self._entries[id(node)] = (node, column)
-        if len(self._entries) > CACHE_COLUMNS:
-            self._entries.popitem(last=False)
+        self.nbytes += column.nbytes
+        while self.nbytes > CACHE_BYTES:
+            _, (_, evicted) = self._entries.popitem(last=False)
+            self.nbytes -= evicted.nbytes
 
 
-def _eval_node(node: Node, scores: np.ndarray,
-               cache: ColumnCache | None) -> np.ndarray | float:
+def _eval_node(node: Node, cache: ColumnCache) -> np.ndarray | float:
     if node.max_var == -1:
         return node.value
     if isinstance(node, Var):
-        return scores[:, node.index]
-    column = None if cache is None else cache.get(node)
+        return cache.clamped[:, node.index]
+    column = cache.get(node)
     if column is None:
-        column = _apply(node.op, _eval_node(node.left, scores, cache),
-                        _eval_node(node.right, scores, cache))
-        if cache is not None:
-            cache.put(node, column)
+        column = _apply(node.op, _eval_node(node.left, cache), _eval_node(node.right, cache))
+        cache.put(node, column)
     return column
-
-
-def _clamped_matrix(scores, order: str = "K") -> np.ndarray:
-    """A float64 copy of a 2-D score matrix with every entry clamped."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValidationError(f"expected a 2-D score matrix, got shape {scores.shape}")
-    return np.clip(scores, -VALUE_CLAMP, VALUE_CLAMP, order=order)
 
 
 def evaluate_matrix(tree: ExpressionTree, scores, *,
@@ -272,25 +270,23 @@ def evaluate_matrix(tree: ExpressionTree, scores, *,
 
     One vectorized pass computes all n fused scores; results are finite for
     any finite input by the protection/clamping argument in the module
-    docstring.  With a ``cache`` built for this same ``scores`` object,
-    subtree columns are read from and added to it, and the result may be a
-    read-only column of the cache.
+    docstring.  Subtree columns are read from and added to ``cache``, which
+    must be built for this same ``scores`` object; without one, a cache
+    lives for this call only.  The root's column is never cached, so the
+    result is always a fresh array the caller owns.
     """
     if cache is None:
-        clamped = _clamped_matrix(scores)
-    elif cache.scores is scores:
-        clamped = cache.clamped
-    else:
+        cache = ColumnCache(scores)
+    elif cache.scores is not scores:
         raise ValidationError("column cache was built for another score matrix")
-    needed = tree.root.max_var
-    if needed >= clamped.shape[1]:
-        raise ValidationError(
-            f"tree references modality {needed} but data has {clamped.shape[1]} modalities"
-        )
-    fused = _eval_node(tree.root, clamped, cache)
-    if np.ndim(fused) == 0:
-        fused = np.full(clamped.shape[0], fused)
-    return fused
+    rows, modalities = cache.clamped.shape
+    root = tree.root
+    if root.max_var >= modalities:
+        raise ValidationError(f"tree references modality {root.max_var}"
+                              f" but data has {modalities} modalities")
+    if root.max_var == -1:
+        return np.full(rows, root.value)
+    return _apply(root.op, _eval_node(root.left, cache), _eval_node(root.right, cache))
 
 
 def _to_sexpr(node: Node) -> str:

@@ -107,10 +107,11 @@ def naive_eval(node, scores):
         return _clamp(a * b)
     if node.op == "div":
         return _clamp(a / b) if abs(b) >= DIV_EPSILON else 1.0
+    # ties go to b, as in np.minimum and np.maximum: min(0.0, -0.0) is -0.0
     if node.op == "min":
-        return min(a, b)
+        return a if a < b else b
     if node.op == "max":
-        return max(a, b)
+        return a if a > b else b
     return (a + b) / 2
 
 

@@ -511,20 +511,10 @@ def bits(values) -> list[int]:
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
-class NoCache(ColumnCache):
-    """A column cache that never holds a column: the uncached interpreter."""
-
-    def get(self, node):
-        return None
-
-    def put(self, node, column):
-        pass
-
-
 class TestRunCache:
     def test_every_tree_fuses_as_without_the_cache(self, make_gaussian, monkeypatch):
         ds = make_gaussian(seed=12, modalities=3, genuine=50, impostor=90)
-        monkeypatch.setattr(trees, "CACHE_COLUMNS", 7)  # forces evictions
+        budget = 7 * ds.scores.shape[0] * 8  # forces evictions
         hits = []
         real_get = ColumnCache.get
 
@@ -536,20 +526,43 @@ class TestRunCache:
         def checked(tree, scores, *, cache=None):
             out = evaluate_matrix(tree, scores, cache=cache)
             assert cache is not None and cache.scores is ds.scores
-            assert len(cache._entries) <= 7
-            assert bits(out) == bits(evaluate_matrix(tree, scores))
+            assert cache.nbytes <= budget
+            assert bits(out) == bits(evaluate_matrix(tree, scores))  # a cold cache
             return out
 
+        monkeypatch.setattr(trees, "CACHE_BYTES", budget)
         monkeypatch.setattr(ColumnCache, "get", counted_get)
         monkeypatch.setattr(gp, "evaluate_matrix", checked)
         evolve(ds, small_config(max_generations=4))
         assert 0 < sum(hits) < len(hits)
 
+    @pytest.mark.parametrize("columns", [0, 1, 10_000])
+    def test_every_tree_matches_the_oracle_at_any_budget(self, make_gaussian, monkeypatch,
+                                                         columns):
+        """Each tree of a short run, cached at no, one or ample columns,
+        fuses every row to the bits of the scalar oracle."""
+        ds = make_gaussian(seed=17, modalities=3, genuine=20, impostor=40)
+        budget = columns * ds.scores.shape[0] * 8
+        rows = ds.scores.tolist()
+        seen = []
+
+        def checked(tree, scores, *, cache=None):
+            out = evaluate_matrix(tree, scores, cache=cache)
+            assert cache.nbytes <= budget
+            assert bits(out) == bits([naive_eval(tree.root, row) for row in rows])
+            seen.append(tree)
+            return out
+
+        monkeypatch.setattr(trees, "CACHE_BYTES", budget)
+        monkeypatch.setattr(gp, "evaluate_matrix", checked)
+        evolve(ds, small_config(max_generations=2))
+        assert len(seen) > 60
+
     def test_uncached_run_gives_the_same_result(self, make_gaussian, monkeypatch):
         ds = make_gaussian(seed=13, modalities=2, genuine=40, impostor=80)
         cfg = small_config(max_generations=3)
         cached = evolve(ds, cfg)
-        monkeypatch.setattr(gp, "ColumnCache", NoCache)
+        monkeypatch.setattr(trees, "CACHE_BYTES", 0)
         uncached = evolve(ds, cfg)
         assert uncached.best_individual == cached.best_individual
         assert uncached.history == cached.history
@@ -565,7 +578,7 @@ class TestRunCache:
             assert [fitness(t, train), fitness(t, other)] == expected
         finally:
             gp._RUN_CACHE.reset(token)
-        assert [node for node, _ in cache._entries.values()] == [t.root.left, t.root]
+        assert [node for node, _ in cache._entries.values()] == [t.root.left]
 
     def test_the_cache_ends_with_the_run(self, make_gaussian, monkeypatch):
         ds = make_gaussian(seed=16, modalities=2)

@@ -199,6 +199,16 @@ class TestSweepEer:
     def test_empty_class_raises_as_fused_scores_does(self, args):
         assert_raises_as_fused_scores(*args)
 
+    @pytest.mark.parametrize("args", [([1e308, 0.5], [-1e308, 0.0]),
+                                      ([-1.7e308], [1.7e308])])
+    def test_score_range_that_overflows_is_rejected_by_both_sweeps(self, args):
+        # hi - lo is inf: the grid would start [nan, inf, ...]
+        with pytest.raises(ValidationError, match="overflows") as roc:
+            sweep_roc(FusedScores(*args))
+        with pytest.raises(ValidationError, match="overflows") as eer:
+            sweep_eer(*args)
+        assert str(eer.value) == str(roc.value)
+
 
 class TestExactEer:
     def test_separable(self):
