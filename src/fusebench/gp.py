@@ -331,8 +331,8 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     Every created tree is scored once, by ``fusebench.gp.fitness`` looked
     up at call time, so wrapping that function sees every tree the run creates.
     Those calls share one :class:`~fusebench.trees.ColumnCache` of
-    ``train.scores``, which keeps subtree columns within
-    ``trees.CACHE_BYTES``: about 240 at banca shape, one at bssr1 shape.
+    ``train.scores``, which keeps up to ``trees.CACHE_COLUMNS`` subtree
+    columns.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)

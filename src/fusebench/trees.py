@@ -17,7 +17,7 @@ built: its ``value`` is the float the interpreter would compute, and
 constants and folded nodes evaluate to that float, which numpy broadcasts
 against the columns.  Every evaluation reads through a :class:`ColumnCache`
 of one score matrix, which keeps the columns of recently evaluated
-variable-holding function nodes within ``CACHE_BYTES``, keyed by node
+variable-holding function nodes, at most ``CACHE_COLUMNS``, keyed by node
 identity: genetic operators rebuild only the path from the root to the
 changed slot, so a bred tree shares every other node with its parents.
 What the cache holds never changes a result's bits.
@@ -83,9 +83,9 @@ def _apply(op: str, a, b):
     return out
 
 
-# Bytes of function-node columns one ColumnCache holds: 240 columns of a
-# banca-shape training half (546 rows), one of a bssr1-shape one (131,072).
-CACHE_BYTES = 1 << 20
+# Function-node columns one ColumnCache holds: about 1 MB on a banca-shape
+# training half and 252 MB on a bssr1-shape one (131,072 rows).
+CACHE_COLUMNS = 240
 # Deepest tree the parser accepts and GP may breed; comparing, printing and
 # evaluating recurse per level, so it sits well below the recursion limit.
 MAX_TREE_DEPTH = 200
@@ -220,18 +220,18 @@ class ColumnCache:
     while the cache is in use; it clamps that matrix once and keeps the
     clamped copy column-contiguous.  Entries are keyed by ``id(node)`` and
     hold ``(node, column)``, so the id of a cached node is never reused.
-    Columns are read-only; the oldest are evicted until ``nbytes``, their
-    total size, is at most ``CACHE_BYTES``, and a larger column is not kept.
+    Columns are read-only, and at most ``columns`` are kept, by default
+    ``CACHE_COLUMNS``.
     """
 
-    def __init__(self, scores):
+    def __init__(self, scores, columns: int | None = None):
         self.scores = scores
+        self.columns = CACHE_COLUMNS if columns is None else columns
         clamped = np.asarray(scores, dtype=np.float64)
         if clamped.ndim != 2:
             raise ValidationError(f"expected a 2-D score matrix, got shape {clamped.shape}")
         self.clamped = np.clip(clamped, -VALUE_CLAMP, VALUE_CLAMP, order="F")
         self.clamped.flags.writeable = False
-        self.nbytes = 0
         self._entries: OrderedDict[int, tuple[Func, np.ndarray]] = OrderedDict()
 
     def get(self, node: Func) -> np.ndarray | None:
@@ -242,14 +242,10 @@ class ColumnCache:
         return entry[1]
 
     def put(self, node: Func, column: np.ndarray) -> None:
-        if column.nbytes > CACHE_BYTES:
-            return
         column.flags.writeable = False
         self._entries[id(node)] = (node, column)
-        self.nbytes += column.nbytes
-        while self.nbytes > CACHE_BYTES:
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self.nbytes -= evicted.nbytes
+        if len(self._entries) > self.columns:
+            self._entries.popitem(last=False)
 
 
 def _eval_node(node: Node, cache: ColumnCache) -> np.ndarray | float:
@@ -272,11 +268,11 @@ def evaluate_matrix(tree: ExpressionTree, scores, *,
     any finite input by the protection/clamping argument in the module
     docstring.  Subtree columns are read from and added to ``cache``, which
     must be built for this same ``scores`` object; without one, a cache
-    lives for this call only.  The root's column is never cached, so the
-    result is always a fresh array the caller owns.
+    that keeps no column lives for this call only.  The root's column is
+    never cached, so the result is always a fresh array the caller owns.
     """
     if cache is None:
-        cache = ColumnCache(scores)
+        cache = ColumnCache(scores, columns=0)
     elif cache.scores is not scores:
         raise ValidationError("column cache was built for another score matrix")
     rows, modalities = cache.clamped.shape

@@ -107,11 +107,11 @@ def naive_eval(node, scores):
         return _clamp(a * b)
     if node.op == "div":
         return _clamp(a / b) if abs(b) >= DIV_EPSILON else 1.0
-    # ties go to b, as in np.minimum and np.maximum: min(0.0, -0.0) is -0.0
+    # a tie of 0.0 and -0.0 may give either zero; numpy's choice is the CPU's
     if node.op == "min":
-        return a if a < b else b
+        return min(a, b)
     if node.op == "max":
-        return a if a > b else b
+        return max(a, b)
     return (a + b) / 2
 
 
