@@ -210,7 +210,7 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     pop = rng.uniform(cfg.weight_lo, cfg.weight_hi, size=(cfg.population_size, n))
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
-    cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q))
+    cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q)).tolist()
     known: dict[bytes, float] = {}  # chromosome bytes -> training EER
     scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
 

@@ -203,14 +203,15 @@ def ramped_half_and_half(cfg: EvolutionConfig, terminals, rng) -> list[Expressio
     return population
 
 
-def tournament_schedule(cfg: EvolutionConfig) -> np.ndarray:
-    """Cumulative winner probabilities by rank: rank r of the tournament wins
-    with probability p * (1-p)^r, and the leftover mass falls on the last
-    rank so the schedule sums to one."""
+def tournament_schedule(cfg: EvolutionConfig) -> list[float]:
+    """Cumulative winner probabilities by rank, as a list for
+    :func:`draw_rank`: rank r of the tournament wins with probability
+    p * (1-p)^r, and the leftover mass falls on the last rank so the
+    schedule sums to one."""
     p = cfg.tournament_p
     probs = p * (1.0 - p) ** np.arange(cfg.tournament_size, dtype=np.float64)
     probs[-1] = 1.0 - probs[:-1].sum()
-    return np.cumsum(probs)
+    return np.cumsum(probs).tolist()
 
 
 def tournament_select(population, fitnesses, cum, rng) -> ExpressionTree:
@@ -222,9 +223,10 @@ def tournament_select(population, fitnesses, cum, rng) -> ExpressionTree:
     return population[int(drawn[ranked[draw_rank(cum, rng)]])]
 
 
-def draw_rank(cum, rng) -> int:
+def draw_rank(cum: list[float], rng) -> int:
     """Rank drawn by one uniform draw from cumulative probabilities ``cum``;
-    a draw past a rounded-down total lands on the last rank."""
+    a draw past a rounded-down total lands on the last rank.  ``cum`` is a
+    list, so the bisection compares Python floats, not numpy scalars."""
     return min(bisect.bisect_right(cum, rng.random()), len(cum) - 1)
 
 

@@ -20,8 +20,10 @@ index minimizing |d| is the first k with d(k) <= 0 or, when that is no
 closer to zero, the start of the plateau of equal d just before it.  Equal
 d needs equal counts, since both of its terms move the same way, so every
 index of that plateau gives the same EER bits.  Bisection finds k with
-about ten counts of the impostors at or above one threshold, and only the
-genuine class is sorted.
+about ten probes, and builds no grid: a probe computes its one threshold by
+the grid's formula, counts the impostors at or above it, and bisects the
+sorted genuine scores for those below it.  Only the genuine class is
+sorted, and the search ends at the first grid index above its maximum.
 
 :func:`exact_eer` evaluates every threshold where the rates can change and
 exists so the grid approximation can be checked against ground truth.
@@ -29,15 +31,17 @@ exists so the grid approximation can be checked against ground truth.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import UndefinedGainError, ValidationError
 
 SWEEP_POINTS = 1000
+_GRID_INDICES = np.arange(SWEEP_POINTS, dtype=np.float64)
+_GRID_INDICES.setflags(write=False)
 
 
 def _check_scores(arr: np.ndarray, what: str) -> None:
@@ -109,12 +113,13 @@ def _eer_index(fs: FusedScores, imp_ge: np.ndarray, gen_lt: np.ndarray) -> int:
     return int(np.argmin(diff))
 
 
-def _threshold_grid(lo, hi) -> np.ndarray:
-    """The sweep's thresholds: grid point k is lo + k * (hi - lo) / 999."""
+def _threshold_grid(lo, hi, k=_GRID_INDICES):
+    """The sweep's thresholds at grid indices ``k``, all of them by default:
+    grid point k is lo + k * (hi - lo) / 999.  A scalar ``k`` gives that
+    one threshold as a float, with the bits of the grid's element k."""
     lo, hi = float(lo), float(hi)
     if not math.isfinite(hi - lo):
         raise ValidationError(f"score range [{lo!r}, {hi!r}] overflows float64")
-    k = np.arange(SWEEP_POINTS, dtype=np.float64)
     return lo + k * (hi - lo) / (SWEEP_POINTS - 1)
 
 
@@ -138,7 +143,7 @@ def sweep_roc(fs: FusedScores) -> RocCurve:
 
 def sweep_eer(genuine, impostor) -> float:
     """``sweep_roc(FusedScores(genuine, impostor)).eer``, bit for bit, without
-    the curve, the copies or a sort of the impostor class.
+    the curve, the threshold grid, the copies or a sort of the impostor class.
 
     It raises the same :class:`ValidationError` as :class:`FusedScores` for
     an empty class or a non-finite score: NaN propagates through ``min`` and
@@ -152,20 +157,27 @@ def sweep_eer(genuine, impostor) -> float:
     if not (ends and all(map(math.isfinite, ends))):
         _check_scores(genuine, "genuine")
         _check_scores(impostor, "impostor")
-    thresholds = _threshold_grid(min(ends[0], ends[1]), max(ends[2], ends[3]))
+    lo, hi = min(ends[0], ends[1]), max(ends[2], ends[3])
     g, i = genuine.size, impostor.size
-    gen_lt = np.searchsorted(np.sort(genuine), thresholds, side="left")
+    gen = np.sort(genuine).tolist()
+    counts: dict[int, tuple[int, int]] = {}  # k -> (imp_ge(k), gen_lt(k))
 
-    @cache
-    def imp_ge(k: int) -> int:
-        return int(np.count_nonzero(impostor >= thresholds[k]))
+    def threshold(k: int) -> float:
+        return _threshold_grid(lo, hi, k)
+
+    def count(k: int) -> tuple[int, int]:
+        if k not in counts:
+            t = threshold(k)
+            counts[k] = (int(np.count_nonzero(impostor >= t)), bisect.bisect_left(gen, t))
+        return counts[k]
 
     def d(k: int) -> int:
-        return imp_ge(k) * g - int(gen_lt[k]) * i
+        imp_ge, gen_lt = count(k)
+        return imp_ge * g - gen_lt * i
 
     # bisect for the first k with d(k) <= 0; there is one wherever every
     # genuine score lies below the threshold, and SWEEP_POINTS means none
-    a, b = 0, int(np.searchsorted(gen_lt, g, side="left"))
+    a, b = 0, bisect.bisect_right(range(SWEEP_POINTS), gen[-1], key=threshold)
     while a < b:
         mid = (a + b) // 2
         if d(mid) <= 0:
@@ -176,7 +188,8 @@ def sweep_eer(genuine, impostor) -> float:
     # equal counts, so its plateau's start j gives the same EER as a-1
     if a == SWEEP_POINTS or (a > 0 and d(a - 1) <= -d(a)):
         a -= 1
-    return float((imp_ge(a) / i + int(gen_lt[a]) / g) / 2.0)
+    imp_ge, gen_lt = count(a)
+    return (imp_ge / i + gen_lt / g) / 2.0
 
 
 def exact_eer(fs: FusedScores) -> float:

@@ -13,14 +13,18 @@ clamps the score matrix into it, so every leaf lies within +-1e100.  Since
 every op in the set, no intermediate can reach infinity and no NaN can arise.
 
 A function node without a variable (``max_var == -1``) is folded when it is
-built: its ``value`` is the float the interpreter would compute, and
-constants and folded nodes evaluate to that float, which numpy broadcasts
-against the columns.  Every evaluation reads through a :class:`ColumnCache`
-of one score matrix, which keeps the columns of recently evaluated
-variable-holding function nodes, at most ``CACHE_COLUMNS``, keyed by node
-identity: genetic operators rebuild only the path from the root to the
-changed slot, so a bred tree shares every other node with its parents.
-What the cache holds never changes a result's bits.
+built: its ``value`` is the float the interpreter would compute, from the
+same op table applied to two floats, and constants and folded nodes
+evaluate to that float, which numpy broadcasts against the columns.
+Function nodes have slots and no instance dict: a GP population holds many
+thousands of them, while it shares its terminals.
+
+Every evaluation reads through a :class:`ColumnCache` of one score matrix,
+which keeps the columns of recently evaluated variable-holding function
+nodes, at most ``CACHE_COLUMNS``, keyed by node identity: genetic operators
+rebuild only the path from the root to the changed slot, so a bred tree
+shares every other node with its parents.  What the cache holds never
+changes a result's bits.
 
 Trees serialize to s-expressions such as ``(add (var 0) (const 0.5))`` and
 parse back exactly, up to ``MAX_TREE_DEPTH`` levels of nesting.
@@ -28,6 +32,7 @@ parse back exactly, up to ``MAX_TREE_DEPTH`` levels of nesting.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -43,10 +48,13 @@ VALUE_CLAMP = 1e100
 def _protected_div(a, b):
     """a / b, or 1.0 where |b| < DIV_EPSILON; either operand may be a float.
 
-    The quotient is taken everywhere and the protected entries replaced,
-    which is faster than a masked divide.  Only those entries can be
-    infinite or NaN, so warnings are silenced only when there are any.
+    Two floats, as folding gives, divide as floats.  Otherwise the quotient
+    is taken everywhere and the protected entries replaced, which is faster
+    than a masked divide.  Only those entries can be infinite or NaN, so
+    warnings are silenced only when there are any.
     """
+    if isinstance(a, float) and isinstance(b, float):
+        return 1.0 if abs(b) < DIV_EPSILON else a / b
     small = np.abs(b) < DIV_EPSILON
     if not small.any():
         return np.divide(a, b)
@@ -56,10 +64,13 @@ def _protected_div(a, b):
 
 # The primitive set: each op name and its element-wise function.  The order
 # is part of a run's random stream, since GP draws ops from it by index.
+# The operator module's functions fold two floats without numpy's scalar
+# overhead, and an array operand dispatches them to np.add, np.subtract and
+# np.multiply.
 _OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "div": _protected_div,
     "min": np.minimum,
     "max": np.maximum,
@@ -77,9 +88,10 @@ def _apply(op: str, a, b):
         if isinstance(out, np.ndarray):
             # an array the op has just allocated
             out.clip(-VALUE_CLAMP, VALUE_CLAMP, out=out)
-        else:
-            # a folded scalar: the same clamp without numpy's scalar overhead
-            out = min(max(out, -VALUE_CLAMP), VALUE_CLAMP)
+        elif out > VALUE_CLAMP:
+            out = VALUE_CLAMP
+        elif out < -VALUE_CLAMP:
+            out = -VALUE_CLAMP
     return out
 
 
@@ -125,7 +137,7 @@ class Const:
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Func:
     """Binary function application over two child nodes.
 
@@ -144,15 +156,16 @@ class Func:
     value: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValidationError(f"unknown operator {self.op!r}")
-        object.__setattr__(self, "size", 1 + self.left.size + self.right.size)
-        object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
-        object.__setattr__(self, "max_var", max(self.left.max_var, self.right.max_var))
-        value = None
-        if self.max_var == -1:
-            value = float(_apply(self.op, self.left.value, self.right.value))
-        object.__setattr__(self, "value", value)
+        op, left, right = self.op, self.left, self.right
+        if op not in _OPS:
+            raise ValidationError(f"unknown operator {op!r}")
+        max_var = max(left.max_var, right.max_var)
+        setattr_ = object.__setattr__
+        setattr_(self, "size", 1 + left.size + right.size)
+        setattr_(self, "depth", 1 + max(left.depth, right.depth))
+        setattr_(self, "max_var", max_var)
+        setattr_(self, "value", None if max_var != -1
+                 else float(_apply(op, left.value, right.value)))
 
 
 Node = Var | Const | Func
@@ -220,13 +233,15 @@ class ColumnCache:
     while the cache is in use; it clamps that matrix once and keeps the
     clamped copy column-contiguous.  Entries are keyed by ``id(node)`` and
     hold ``(node, column)``, so the id of a cached node is never reused.
-    Columns are read-only, and at most ``columns`` are kept, by default
-    ``CACHE_COLUMNS``.
+    Columns are read-only, and at most ``columns`` are kept, a non-negative
+    integer, by default ``CACHE_COLUMNS``.
     """
 
     def __init__(self, scores, columns: int | None = None):
+        if columns is None:
+            columns = CACHE_COLUMNS
+        self.columns = check_int("cache columns", columns, 0)
         self.scores = scores
-        self.columns = CACHE_COLUMNS if columns is None else columns
         clamped = np.asarray(scores, dtype=np.float64)
         if clamped.ndim != 2:
             raise ValidationError(f"expected a 2-D score matrix, got shape {clamped.shape}")

@@ -2,8 +2,9 @@
 
 A small banca-shaped synthetic run (4 modalities, 467 genuine and 624
 impostor tuples) goes through every fusion method with a short GA and GP.
-The SHA-256 of every artifact it writes is pinned below.  A refactor that
-moves any byte fails here.
+The SHA-256 of every artifact it writes is pinned below, and so are the GP's
+two artifacts of a run at the default population of 500 trees.  A refactor
+that moves any byte fails here.
 
 The digests were computed with Python 3.11.7 and numpy 2.4.6.  Another
 numpy may round differently; regenerating them is a deliberate act that
@@ -42,8 +43,15 @@ GOLDEN = {
 }
 
 
-def banca_shaped_run(integer=int):
-    """The pinned run; ``integer`` builds every integer setting it passes."""
+# The GP's artifacts of a 500-tree population (the default size, where the
+# run above breeds 40 trees) over 3 bred generations on the same dataset.
+GP_500_GOLDEN = {
+    "gp_best_tree.txt": "ee6ffd4549b74f9a58cef1a26ef87d2a3e8fb11897309d0977d7bb9e162d90e1",
+    "gp_history.csv": "496543a36395697d959f077f04eecb8b1a713c3d77cfbce2306a7159b257a9ba",
+}
+
+
+def banca_shaped_dataset(integer=int):
     spec = SyntheticSpec(
         modality_count=4,
         genuine_means=(1.2, 1.0, 0.8, 0.6),
@@ -54,7 +62,12 @@ def banca_shaped_run(integer=int):
         impostor_count=integer(624),
         seed=integer(2024),
     )
-    ds = generate_synthetic(spec, name="banca-shaped")
+    return generate_synthetic(spec, name="banca-shaped")
+
+
+def banca_shaped_run(integer=int):
+    """The pinned run; ``integer`` builds every integer setting it passes."""
+    ds = banca_shaped_dataset(integer)
     ga = GaConfig(seed=integer(11), population_size=integer(24),
                   generations=integer(4))
     gp = EvolutionConfig(seed=integer(13), population_size=integer(40),
@@ -78,3 +91,11 @@ def test_artifact_digests_are_pinned(tmp_path):
 def test_numpy_integer_settings_change_no_byte(integer):
     # numpy integers are stored as ints, so report.json still serializes
     assert banca_shaped_run(integer).artifacts == banca_shaped_run().artifacts
+
+
+def test_default_population_gp_digests_are_pinned():
+    result = run_experiment(banca_shaped_dataset(), methods=["gp"], seed=7,
+                            gp_config=EvolutionConfig(seed=13, max_generations=3))
+    digests = {name: hashlib.sha256(result.artifacts[name].encode()).hexdigest()
+               for name in GP_500_GOLDEN}
+    assert digests == GP_500_GOLDEN

@@ -188,6 +188,33 @@ class TestSweepEer:
                 genuine, impostor = np.round(2 * genuine) / 2, np.round(impostor)
             assert_sweep_eer_matches(genuine, impostor)
 
+    @pytest.mark.parametrize("classes", [
+        # grid point k is k on [0, 999]: the genuine maximum 5.0 is point 5,
+        # and the first point above it, 6, is the first index where d <= 0
+        ([5.0], [0.0, 999.0, 999.0]),
+        ([0.0, 5.0, 5.0], [0.0, 5.0, 999.0, 999.0, 999.0]),
+        # the genuine maximum is hi, and point 999 is hi exactly, ...
+        ([999.0], [0.0, 500.0]),
+        ([999.0, 1.0], [0.0, 998.0, 999.0]),
+        # ... rounds just below it (no point lies above the genuine scores) ...
+        ([-0.22], [-2.33, -0.22]),
+        ([-0.22, -1.0], [-2.33, -0.2200000000000002, -0.22]),
+        # ... or rounds just above it
+        ([0.04], [-0.62, 0.04]),
+        ([0.04, -0.5], [-0.62, 0.03999999999999998, 0.04]),
+        # one score per class
+        ([0.5], [0.5]),
+        ([0.7], [0.2]),
+        ([0.2], [0.7]),
+        ([-0.0], [0.0]),
+        ([1e100], [-1e100]),
+        ([5e-324], [0.0]),
+    ])
+    def test_matches_sweep_roc_at_the_ends_of_the_search(self, classes):
+        """The search stops at the first grid point above the genuine
+        maximum; these put that maximum on a grid point, at hi, and alone."""
+        assert_sweep_eer_matches(*classes)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("where", ["genuine", "impostor"])
     def test_non_finite_scores_raise_as_fused_scores_does(self, bad, where):

@@ -349,6 +349,14 @@ class TestConstantBounds:
             parse_sexpr("(add (var 0) (mul (const 1e300) (const 1e300)))")
 
 
+# signed zeros, subnormals, the clamp (whose products and quotients pass
+# it), and divisors at, just below and just above DIV_EPSILON
+_EDGE_MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, DIV_EPSILON,
+                    float(np.nextafter(DIV_EPSILON, 0.0)),
+                    float(np.nextafter(DIV_EPSILON, 1.0)), 0.5, 3.0, 1e50, VALUE_CLAMP]
+FOLD_OPERANDS = _EDGE_MAGNITUDES + [-v for v in _EDGE_MAGNITUDES]
+
+
 class TestFolding:
     @pytest.mark.parametrize("text", [
         "(div (const 1.0) (const 0.0))",
@@ -379,6 +387,24 @@ class TestFolding:
                     assert node.value == naive_eval(node, (0.0, 0.0))
                 else:
                     assert node.value is None
+
+    @pytest.mark.parametrize("op", FUNCTION_OPS)
+    def test_folding_gives_the_column_bits_on_edge_operands(self, op):
+        """Every op folds two floats through the op table to the bits the
+        interpreter computes on a one-row matrix of the same values."""
+        for a in FOLD_OPERANDS:
+            for b in FOLD_OPERANDS:
+                folded = Func(op, Const(a), Const(b)).value
+                column = evaluate_matrix(ExpressionTree(Func(op, Var(0), Var(1))),
+                                         np.array([[a, b]]))
+                assert type(folded) is float
+                assert bits([folded]) == bits(column), (op, a, b)
+
+    def test_function_nodes_have_no_instance_dict(self):
+        # slots keep a node's footprint: an instance dict would grow it
+        node = Func("add", Var(0), Func("mul", Const(2.0), Const(3.0)))
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(node.right, "__dict__")
 
     def test_value_takes_no_part_in_equality_or_repr(self):
         assert Func("add", Const(1.0), Const(2.0)) != Func("add", Const(2.0), Const(1.0))
@@ -451,6 +477,16 @@ class TestColumnCache:
         evaluate_matrix(tree("(add (mul (var 0) (var 1)) (min (var 2) (const 0.5)))"),
                         self.matrix)
         assert kept == [0, 0]
+
+    @pytest.mark.parametrize("columns", [-3, 2.5, True, "4"])
+    def test_columns_must_be_a_non_negative_integer(self, columns):
+        with pytest.raises(ValidationError, match="cache columns"):
+            ColumnCache(self.matrix, columns=columns)
+
+    def test_columns_are_kept_as_a_python_int(self):
+        for columns in (0, np.int64(3)):
+            cache = ColumnCache(self.matrix, columns=columns)
+            assert type(cache.columns) is int and cache.columns == columns
 
     def test_budget_bounds_the_bssr1_training_half(self):
         # 256 genuine + 130,816 impostor rows
