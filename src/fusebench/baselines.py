@@ -19,8 +19,9 @@ Fortran-order copy of its training matrix, whose columns are contiguous.
 
 The GA supplies its initial population and breeding to the loop it shares
 with the GP, :func:`fusebench.gp.generational_search`.  Randomness: one
-generator seeded with ``GaConfig.seed`` draws the initial population, then
-each generation's breeding in slot order.
+generator seeded with ``GaConfig.seed`` draws the initial population, then,
+through a :class:`fusebench.gp.Draws` that reads its raw words, each
+generation's breeding in slot order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .datasets import ScoreDataset, SplitPair, fuse_classes
 from .errors import ValidationError, check_int
-from .gp import EvolutionResult, check_score_spread, draw_rank, generational_search
+from .gp import Draws, EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_eer, sweep_roc
 
 WEIGHT_LO = -10.0
@@ -194,6 +195,13 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
 
     The result's best individual is the best weight tuple ever seen.
 
+    One PCG64 generator seeded with ``cfg.seed`` draws the initial
+    population in one ``uniform`` call.  Breeding then draws from its raw
+    words through a :class:`fusebench.gp.Draws`, with the values and in the
+    order of the ``Generator`` calls it stands for: a mutation's n resample
+    flags, then its n fresh genes, each ``weight_lo + (weight_hi -
+    weight_lo) * u`` as numpy's ``uniform`` computes it.
+
     Rank selection mostly copies a parent verbatim, so fitness is memoized
     by the chromosome's bytes over a window of the previous generation and
     the children scored so far in this one; :func:`_weighted_eer`, looked up
@@ -210,6 +218,9 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     pop = rng.uniform(cfg.weight_lo, cfg.weight_hi, size=(cfg.population_size, n))
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
         pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
+    draws = Draws(rng)
+    lo = float(cfg.weight_lo)
+    span = float(cfg.weight_hi) - lo
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q)).tolist()
     known: dict[bytes, float] = {}  # chromosome bytes -> training EER
     scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
@@ -224,23 +235,24 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
         known.clear()
         known.update(zip((w.tobytes() for w in population), fits))
 
+        ranked = order.tolist()
+
         def select_parent():
-            return population[order[draw_rank(cum, rng)]]
+            return population[ranked[draw_rank(cum, draws)]]
 
         children = []
         for _ in range(count):
             parent = select_parent()
-            if rng.random() < cfg.p_crossover:
+            if draws.random() < cfg.p_crossover:
                 other = select_parent()
-                blend = rng.random()
+                blend = draws.random()
                 child = blend * parent + (1.0 - blend) * other
             else:
                 child = parent.copy()
-            if rng.random() < cfg.p_mutation:
-                resample = rng.random(n) < (1.0 / n)
-                child = np.where(
-                    resample, rng.uniform(cfg.weight_lo, cfg.weight_hi, n), child
-                )
+            if draws.random() < cfg.p_mutation:
+                resample = [draws.random() < 1.0 / n for _ in range(n)]
+                fresh = [lo + span * draws.random() for _ in range(n)]
+                child = np.where(resample, fresh, child)
             children.append(child)
         return children
 

@@ -24,7 +24,13 @@ its breeding.
 Randomness discipline: generation g draws from child g of the seed's
 SeedSequence, derived when the generation starts (child 0 initializes the
 population), so runs are bit-reproducible and fitness evaluation order can
-never perturb the stochastic decisions.
+never perturb the stochastic decisions.  Both this search and the GA of
+:mod:`fusebench.baselines` read their PCG64 generator's raw 64-bit words a
+block at a time through :class:`Draws`, which turns them into the values
+``Generator.random()`` and ``Generator.integers(low, high)`` give on numpy
+2.4.6, in the same order, without a numpy call per draw.  The operators
+only call ``random()`` and ``integers(low, high)``, so a numpy
+``Generator`` passed in their place draws the same values.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .trees import (
 )
 
 CROSSOVER_RETRIES = 10
+BLOCK = 1024  # raw words Draws fetches from the bit generator at a time
 # The column cache of the running evolve call, bound to its training matrix;
 # fitness reads it here so that its signature stays (tree, ds).
 _RUN_CACHE: ContextVar[ColumnCache | None] = ContextVar("gp_run_cache", default=None)
@@ -126,6 +133,65 @@ class EvolutionResult:
     history: tuple[GenerationStats, ...]
 
 
+class Draws:
+    """The draws of a PCG64 ``Generator``, bit for bit, from raw words.
+
+    ``random()`` is ``Generator.random()``: the top 53 bits of a word
+    scaled by 2**-53.  ``integers(low, high)`` is ``Generator.integers``
+    for ``n = high - low`` in [1, 2**32 - 1], numpy's 32-bit Lemire draw
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019): a 32-bit draw x gives ``m = x * n``, drawn again while the low
+    half of ``m`` lies below ``(2**32 - n) % n``, and the result is ``low +
+    (m >> 32)``; ``n == 1`` draws nothing.  Its 32-bit draws follow PCG64's
+    ``next_uint32``: a pending upper half-word first, else the lower half of
+    a new word, whose upper half is then pending.  ``random()`` takes whole
+    words and leaves a pending half alone.
+
+    The wrapper owns ``rng`` from then on: it fetches words ahead of the
+    draws, so a draw from ``rng`` itself would not continue the stream.
+    """
+
+    __slots__ = ("_bits", "_words", "_half")
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise ValidationError(f"Draws reads PCG64 words, not {type(bits).__name__}")
+        state = bits.state
+        self._bits = bits
+        self._words: list[int] = []  # the block's unread words, last one next
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _refill(self) -> list[int]:
+        self._words = words = self._bits.random_raw(BLOCK)[::-1].tolist()
+        return words
+
+    def random(self) -> float:
+        return ((self._words or self._refill()).pop() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = (self._words or self._refill()).pop()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if n == 1:
+            return low
+        if not 1 <= n <= 0xFFFFFFFF:
+            raise ValidationError(f"integers needs 1 <= high - low < 2**32, got {n}")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+
 def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
     """One variable per modality plus constants evenly spread over [0, 1]."""
     modality_count = check_int("modality_count", modality_count, 2)
@@ -156,11 +222,11 @@ def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
 
 
 def _random_terminal(terminals, rng) -> Node:
-    return terminals[int(rng.integers(0, len(terminals)))]
+    return terminals[rng.integers(0, len(terminals))]
 
 
 def _random_op(rng) -> str:
-    return FUNCTION_OPS[int(rng.integers(0, len(FUNCTION_OPS)))]
+    return FUNCTION_OPS[rng.integers(0, len(FUNCTION_OPS))]
 
 
 def _grow_node(depth_budget: int, terminals, rng, *,
@@ -216,11 +282,13 @@ def tournament_schedule(cfg: EvolutionConfig) -> list[float]:
 
 def tournament_select(population, fitnesses, cum, rng) -> ExpressionTree:
     """Tournament of ``len(cum)`` contestants, drawn uniformly with
-    replacement (an individual may face itself) and ranked by fitness; the
-    winning rank is drawn from the cumulative schedule ``cum``."""
-    drawn = rng.integers(0, len(population), size=len(cum))
-    ranked = np.argsort(np.asarray(fitnesses)[drawn], kind="stable")
-    return population[int(drawn[ranked[draw_rank(cum, rng)]])]
+    replacement (an individual may face itself) and ranked by fitness, ties
+    in draw order; the winning rank is drawn from the cumulative schedule
+    ``cum``."""
+    n = len(population)
+    drawn = [rng.integers(0, n) for _ in cum]
+    ranked = sorted(drawn, key=fitnesses.__getitem__)
+    return population[ranked[draw_rank(cum, rng)]]
 
 
 def draw_rank(cum: list[float], rng) -> int:
@@ -243,8 +311,8 @@ def crossover(parent1: ExpressionTree, parent2: ExpressionTree,
     n1 = parent1.root.size
     n2 = parent2.root.size
     for _ in range(CROSSOVER_RETRIES):
-        slot = int(rng.integers(1, n1))
-        donor, _ = node_at(parent2.root, int(rng.integers(0, n2)))
+        slot = rng.integers(1, n1)
+        donor, _ = node_at(parent2.root, rng.integers(0, n2))
         candidate = replace_at(parent1.root, slot, donor)
         if candidate.depth <= cfg.max_depth:
             return ExpressionTree(candidate)
@@ -258,10 +326,10 @@ def mutate(parent: ExpressionTree, cfg: EvolutionConfig, terminals, rng) -> Expr
     remaining depth budget, so the mutant can never exceed the cap and a
     zero budget degenerates to a terminal replacement.
     """
-    slot = int(rng.integers(1, parent.root.size))
+    slot = rng.integers(1, parent.root.size)
     _, slot_depth = node_at(parent.root, slot)
     budget = cfg.max_depth - slot_depth
-    target = int(rng.integers(0, budget + 1))
+    target = rng.integers(0, budget + 1)
     replacement = _grow_node(target, terminals, rng)
     return ExpressionTree(replace_at(parent.root, slot, replacement))
 
@@ -338,7 +406,7 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
-    population = ramped_half_and_half(cfg, terminals, _generation_rng(cfg.seed, 0))
+    population = ramped_half_and_half(cfg, terminals, Draws(_generation_rng(cfg.seed, 0)))
 
     elite_count = max(1, round(cfg.p_reproduction * cfg.population_size))
     cum = tournament_schedule(cfg)
@@ -346,8 +414,7 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     p_cx = cfg.p_crossover / (cfg.p_crossover + cfg.p_mutation)
 
     def breed(generation, population, fitnesses, _order, count):
-        rng = _generation_rng(cfg.seed, generation)
-        fitnesses = np.asarray(fitnesses)
+        rng = Draws(_generation_rng(cfg.seed, generation))
         children = []
         for _ in range(count):
             if rng.random() < p_cx:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,14 +114,22 @@ def _eer_index(fs: FusedScores, imp_ge: np.ndarray, gen_lt: np.ndarray) -> int:
     return int(np.argmin(diff))
 
 
-def _threshold_grid(lo, hi, k=_GRID_INDICES):
-    """The sweep's thresholds at grid indices ``k``, all of them by default:
-    grid point k is lo + k * (hi - lo) / 999.  A scalar ``k`` gives that
-    one threshold as a float, with the bits of the grid's element k."""
+def _grid_range(lo, hi) -> tuple[float, float]:
+    """The sweep's ``lo`` and span ``hi - lo`` as floats, for
+    :func:`_threshold_grid`; a span that overflows float64 is an error."""
     lo, hi = float(lo), float(hi)
-    if not math.isfinite(hi - lo):
+    span = hi - lo
+    if not math.isfinite(span):
         raise ValidationError(f"score range [{lo!r}, {hi!r}] overflows float64")
-    return lo + k * (hi - lo) / (SWEEP_POINTS - 1)
+    return lo, span
+
+
+def _threshold_grid(lo: float, span: float, k=_GRID_INDICES):
+    """The sweep's thresholds at grid indices ``k``, all of them by default:
+    grid point k is lo + k * (hi - lo) / 999, with ``lo`` and ``span`` from
+    :func:`_grid_range`.  A scalar ``k`` gives that one threshold as a
+    float, with the bits of the grid's element k."""
+    return lo + k * span / (SWEEP_POINTS - 1)
 
 
 def sweep_roc(fs: FusedScores) -> RocCurve:
@@ -131,8 +140,8 @@ def sweep_roc(fs: FusedScores) -> RocCurve:
     every grid point is that score (``0.0`` for ``-0.0``) and accepts
     everything, so FAR is 1, FRR 0 and EER the chance level 0.5.
     """
-    thresholds = _threshold_grid(min(fs.genuine.min(), fs.impostor.min()),
-                                 max(fs.genuine.max(), fs.impostor.max()))
+    thresholds = _threshold_grid(*_grid_range(min(fs.genuine.min(), fs.impostor.min()),
+                                              max(fs.genuine.max(), fs.impostor.max())))
     imp_ge, gen_lt = _counts_at(fs, thresholds)
     far = imp_ge / fs.impostor.size
     frr = gen_lt / fs.genuine.size
@@ -157,17 +166,14 @@ def sweep_eer(genuine, impostor) -> float:
     if not (ends and all(map(math.isfinite, ends))):
         _check_scores(genuine, "genuine")
         _check_scores(impostor, "impostor")
-    lo, hi = min(ends[0], ends[1]), max(ends[2], ends[3])
+    lo, span = _grid_range(min(ends[0], ends[1]), max(ends[2], ends[3]))
     g, i = genuine.size, impostor.size
     gen = np.sort(genuine).tolist()
     counts: dict[int, tuple[int, int]] = {}  # k -> (imp_ge(k), gen_lt(k))
 
-    def threshold(k: int) -> float:
-        return _threshold_grid(lo, hi, k)
-
     def count(k: int) -> tuple[int, int]:
         if k not in counts:
-            t = threshold(k)
+            t = _threshold_grid(lo, span, k)
             counts[k] = (int(np.count_nonzero(impostor >= t)), bisect.bisect_left(gen, t))
         return counts[k]
 
@@ -177,7 +183,8 @@ def sweep_eer(genuine, impostor) -> float:
 
     # bisect for the first k with d(k) <= 0; there is one wherever every
     # genuine score lies below the threshold, and SWEEP_POINTS means none
-    a, b = 0, bisect.bisect_right(range(SWEEP_POINTS), gen[-1], key=threshold)
+    a, b = 0, bisect.bisect_right(range(SWEEP_POINTS), gen[-1],
+                                  key=partial(_threshold_grid, lo, span))
     while a < b:
         mid = (a + b) // 2
         if d(mid) <= 0:

@@ -3,8 +3,8 @@
 A small banca-shaped synthetic run (4 modalities, 467 genuine and 624
 impostor tuples) goes through every fusion method with a short GA and GP.
 The SHA-256 of every artifact it writes is pinned below, and so are the GP's
-two artifacts of a run at the default population of 500 trees.  A refactor
-that moves any byte fails here.
+two artifacts of a run at the default population of 500 trees and the GA's
+whole history at its desk preset.  A refactor that moves any byte fails here.
 
 The digests were computed with Python 3.11.7 and numpy 2.4.6.  Another
 numpy may round differently; regenerating them is a deliberate act that
@@ -20,10 +20,13 @@ from fusebench import (
     EvolutionConfig,
     GaConfig,
     SyntheticSpec,
+    ga_tune_weights,
     generate_synthetic,
     run_experiment,
     write_artifacts,
 )
+from fusebench.baselines import GA_PRESETS
+from fusebench.gp import history_to_csv
 
 
 GOLDEN = {
@@ -49,6 +52,14 @@ GP_500_GOLDEN = {
     "gp_best_tree.txt": "ee6ffd4549b74f9a58cef1a26ef87d2a3e8fb11897309d0977d7bb9e162d90e1",
     "gp_history.csv": "496543a36395697d959f077f04eecb8b1a713c3d77cfbce2306a7159b257a9ba",
 }
+
+
+# The GA's history (every generation's fitness statistics) and best weights
+# at the desk preset, 200 chromosomes over 60 generations, on the same
+# dataset: a change to its breeding that moves any draw moves these.
+GA_DESK_HISTORY_SHA256 = "b96dd63c829f4474de81c51f8e469431733caf94662d0b4f9a7d43ca0203ccdd"
+GA_DESK_BEST_WEIGHTS = (1.841851946680387, 1.059006667149135,
+                        1.1000690756255829, 1.0049335353026745)
 
 
 def banca_shaped_dataset(integer=int):
@@ -99,3 +110,11 @@ def test_default_population_gp_digests_are_pinned():
     digests = {name: hashlib.sha256(result.artifacts[name].encode()).hexdigest()
                for name in GP_500_GOLDEN}
     assert digests == GP_500_GOLDEN
+
+
+def test_desk_ga_history_and_best_weights_are_pinned():
+    result = ga_tune_weights(banca_shaped_dataset(),
+                             GaConfig(seed=11, **GA_PRESETS["desk"]))
+    history = history_to_csv(result.history)
+    assert hashlib.sha256(history.encode()).hexdigest() == GA_DESK_HISTORY_SHA256
+    assert result.best_individual == GA_DESK_BEST_WEIGHTS

@@ -10,6 +10,8 @@ import fusebench.trees as trees
 from fusebench.datasets import ScoreDataset, fuse_classes
 from fusebench.errors import ValidationError
 from fusebench.gp import (
+    BLOCK,
+    Draws,
     EvolutionConfig,
     GenerationStats,
     crossover,
@@ -243,6 +245,81 @@ class TestFitness:
         assert fitness(tree, ds) == by_rule.eer
 
 
+# Draws gives the values of the numpy it was checked against; PCG64's words
+# are the same on every numpy, but Generator's mapping of them may move.
+pinned_numpy = pytest.mark.skipif(np.__version__ != "2.4.6",
+                                  reason="Draws mirrors numpy 2.4.6's Generator")
+
+
+class TestDraws:
+    SPANS = (1, 2, 7, 57, 500, 2 ** 31 + 1, 2 ** 32 - 1)  # 2**31 + 1 rejects often
+
+    def script(self, seed, steps):
+        """A mixed sequence of random() and integers(low, low + n) calls."""
+        plan = np.random.default_rng(seed)
+        for _ in range(steps):
+            n = int(plan.choice(self.SPANS))
+            low = int(plan.integers(-1000, 1000))
+            yield None if plan.random() < 0.3 else (low, low + n)
+
+    def replay(self, draws, mirror, seed, steps):
+        for call in self.script(seed, steps):
+            if call is None:
+                assert draws.random() == mirror.random()
+            else:
+                assert draws.integers(*call) == mirror.integers(*call)
+
+    @pinned_numpy
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_matches_the_generator_across_blocks(self, seed):
+        # 3 * BLOCK calls read more than two blocks of words
+        self.replay(Draws(np.random.default_rng(seed)), np.random.default_rng(seed),
+                    seed, 3 * BLOCK)
+
+    @pinned_numpy
+    @pytest.mark.parametrize("n", SPANS)
+    def test_matches_the_generator_in_one_span(self, n):
+        draws, mirror = Draws(np.random.default_rng(n)), np.random.default_rng(n)
+        for _ in range(BLOCK + 100):
+            assert draws.integers(0, n) == mirror.integers(0, n)
+        assert draws.random() == mirror.random()
+
+    @pinned_numpy
+    def test_serves_a_half_word_pending_at_construction(self):
+        rng, mirror = np.random.default_rng(5), np.random.default_rng(5)
+        # one 32-bit draw takes a word's lower half and leaves its upper half
+        assert rng.integers(0, 7) == mirror.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"]
+        self.replay(Draws(rng), mirror, 5, 200)
+
+    @pytest.mark.parametrize("low", [0, 41, -3])
+    def test_a_span_of_one_draws_nothing(self, low):
+        draws, fresh = Draws(np.random.default_rng(3)), Draws(np.random.default_rng(3))
+        assert draws.integers(0, 7) == fresh.integers(0, 7)
+        assert draws.integers(low, low + 1) == low
+        # the pending upper half-word is still the next 32-bit draw
+        assert [draws.integers(0, 500) for _ in range(5)] == [
+            fresh.integers(0, 500) for _ in range(5)]
+        assert draws.integers(low, low + 1) == low
+        assert draws.random() == fresh.random()
+
+    def test_first_values_are_pinned(self):
+        draws = Draws(np.random.default_rng(2024))
+        assert [draws.random(), draws.integers(0, 7), draws.integers(0, 7),
+                draws.integers(-3, 57), draws.random(),
+                draws.integers(0, 2 ** 31 + 1)] == [
+            0.6758313379812818, 0, 1, 16, 0.7994660967748332, 1965675193]
+
+    @pytest.mark.parametrize("low, high", [(0, 0), (5, 4), (0, 2 ** 32), (-1, 2 ** 32 - 1)])
+    def test_a_span_outside_32_bits_is_rejected(self, low, high):
+        with pytest.raises(ValidationError, match="high - low"):
+            Draws(np.random.default_rng(0)).integers(low, high)
+
+    def test_other_bit_generators_are_rejected(self):
+        with pytest.raises(ValidationError, match="PCG64"):
+            Draws(np.random.Generator(np.random.MT19937(0)))
+
+
 def distinct_population(count):
     """Trees whose constant doubles as an identity tag for selection tests."""
     return [ExpressionTree(Func("add", Var(0), Const(float(j)))) for j in range(count)]
@@ -292,11 +369,19 @@ class TestTournament:
         )
         assert winner is population[0]
 
-    def test_matches_replay_oracle(self):
+    @pytest.mark.parametrize("make_rng, fits", [
+        pytest.param(np.random.default_rng,
+                     np.random.default_rng(12).permutation(40).astype(float).tolist(),
+                     id="generator"),
+        # five fitness levels, so most tournaments rank ties in draw order
+        pytest.param(lambda seed: Draws(np.random.default_rng(seed)),
+                     (np.random.default_rng(12).integers(0, 5, 40) / 4).tolist(),
+                     id="draws", marks=pinned_numpy),
+    ])
+    def test_matches_replay_oracle(self, make_rng, fits):
         population = distinct_population(40)
-        fits = np.random.default_rng(12).permutation(40).astype(float).tolist()
         cfg = small_config()
-        rng = np.random.default_rng(99)
+        rng = make_rng(99)
         mirror = np.random.default_rng(99)
         for _ in range(300):
             drawn = mirror.integers(0, 40, size=cfg.tournament_size)
