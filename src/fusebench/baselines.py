@@ -18,7 +18,9 @@ associative, so only that order gives the row sum's bits; the GA fuses a
 Fortran-order copy of its training matrix, whose columns are contiguous.
 
 The GA supplies its initial population and breeding to the loop it shares
-with the GP, :func:`fusebench.gp.generational_search`.  Randomness: one
+with the GP, :func:`fusebench.gp.generational_search`; its chromosomes are
+tuples of Python floats, bred gene by gene with the IEEE operations, in the
+order, of the numpy array expressions they stand for.  Randomness: one
 generator seeded with ``GaConfig.seed`` draws the initial population, then,
 through a :class:`fusebench.gp.Draws` that reads its raw words, each
 generation's breeding in slot order.
@@ -177,7 +179,7 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
     return q_norm * (1.0 - q) ** np.arange(population_size, dtype=np.float64)
 
 
-def _weighted_eer(w: np.ndarray, scores: np.ndarray, genuine_count: int) -> float:
+def _weighted_eer(w: tuple[float, ...], scores: np.ndarray, genuine_count: int) -> float:
     """Sweep EER of the weighted sum over a stacked matrix, genuine rows first."""
     fused = fuse_weighted_matrix(w, scores)
     return sweep_eer(fused[:genuine_count], fused[genuine_count:])
@@ -186,12 +188,13 @@ def _weighted_eer(w: np.ndarray, scores: np.ndarray, genuine_count: int) -> floa
 def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     """Tune weighted-sum weights by a rank-selection GA minimizing train EER.
 
-    Chromosomes are weight vectors in [weight_lo, weight_hi]^n.  Selection is
-    normalized geometric ranking with q = selection_q; crossover blends two
-    parents with a uniform random factor; mutation resamples each gene with
-    probability 1/n.  The best chromosome survives each generation verbatim
-    (elitism), and chromosome 0 of the initial population is the equal-weight
-    vector, so the tuned training EER never exceeds the sum rule's.
+    Chromosomes are tuples of n Python float weights in [weight_lo,
+    weight_hi].  Selection is normalized geometric ranking with q =
+    selection_q; crossover blends two parents with a uniform random
+    factor; mutation resamples each gene with probability 1/n.  The best
+    chromosome survives each generation verbatim (elitism), and chromosome 0
+    of the initial population is the equal-weight vector, so the tuned
+    training EER never exceeds the sum rule's.
 
     The result's best individual is the best weight tuple ever seen.
 
@@ -203,14 +206,15 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     weight_lo) * u`` as numpy's ``uniform`` computes it.
 
     Rank selection mostly copies a parent verbatim, so fitness is memoized
-    by the chromosome's bytes over a window of the previous generation and
-    the children scored so far in this one; :func:`_weighted_eer`, looked up
-    at call time, runs once per chromosome new to that window.  A repeat
-    gets the float that the same bytes gave through the same deterministic
-    fusion and sweep, so no result changes.  Every call fuses one
-    Fortran-order copy of the training matrix, whose columns
-    :func:`fuse_weighted_matrix` reads contiguously, with the bits it gives
-    for the C-order matrix.
+    by chromosome over a window of the previous generation and the children
+    scored so far in this one; :func:`_weighted_eer`, looked up at call
+    time, runs once per chromosome new to that window.  An equal chromosome
+    gets the float that the same deterministic fusion and sweep gave, so no
+    result changes; a ``-0.0`` gene equals ``0.0`` and fuses to the same
+    vector, as :func:`fuse_weighted_matrix` clears the sign of a zero
+    sum.  Every call fuses one Fortran-order copy of the training matrix,
+    whose columns :func:`fuse_weighted_matrix` reads contiguously, with the
+    bits it gives for the C-order matrix.
     """
     check_score_spread(train)
     n = train.modality_count
@@ -222,18 +226,17 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     lo = float(cfg.weight_lo)
     span = float(cfg.weight_hi) - lo
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q)).tolist()
-    known: dict[bytes, float] = {}  # chromosome bytes -> training EER
+    known: dict[tuple[float, ...], float] = {}  # chromosome -> training EER
     scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
 
     def score(w):
-        key = w.tobytes()
-        if key not in known:
-            known[key] = _weighted_eer(w, scores, train.genuine_count)
-        return known[key]
+        if w not in known:
+            known[w] = _weighted_eer(w, scores, train.genuine_count)
+        return known[w]
 
     def breed(_generation, population, fits, order, count):
         known.clear()
-        known.update(zip((w.tobytes() for w in population), fits))
+        known.update(zip(population, fits))
 
         ranked = order.tolist()
 
@@ -246,18 +249,18 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
             if draws.random() < cfg.p_crossover:
                 other = select_parent()
                 blend = draws.random()
-                child = blend * parent + (1.0 - blend) * other
+                child = tuple(blend * p + (1.0 - blend) * o for p, o in zip(parent, other))
             else:
-                child = parent.copy()
+                child = parent
             if draws.random() < cfg.p_mutation:
                 resample = [draws.random() < 1.0 / n for _ in range(n)]
                 fresh = [lo + span * draws.random() for _ in range(n)]
-                child = np.where(resample, fresh, child)
+                child = tuple(f if r else c for r, f, c in zip(resample, fresh, child))
             children.append(child)
         return children
 
-    return generational_search(list(pop), score, breed, cfg.generations,
-                               1 if cfg.elitism else 0)
+    return generational_search([tuple(w) for w in pop.tolist()], score, breed,
+                               cfg.generations, 1 if cfg.elitism else 0)
 
 
 def evaluate_fused_method(method: str, train_fs: FusedScores,

@@ -6,7 +6,8 @@ The engine is a classic generational GP:
   forced at depths 0 and 1 so every tree has a function root and depth >= 2);
 * fitness of a tree = EER of its fused scores on the training set, read
   from the 1000-point threshold sweep by :func:`fusebench.metrics.sweep_eer`
-  (lower is better);
+  (lower is better); a run hands every fitness call its one column cache of
+  the training matrix as the ``cache`` argument;
 * tournament selection of size 10: contestants ranked by fitness, rank r
   wins with probability 0.8 * 0.2^r, residual mass on the worst rank;
 * subtree crossover keeping only the first offspring (the swap slot in the
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +62,6 @@ from .trees import (
 
 CROSSOVER_RETRIES = 10
 BLOCK = 1024  # raw words Draws fetches from the bit generator at a time
-# The column cache of the running evolve call, bound to its training matrix;
-# fitness reads it here so that its signature stays (tree, ds).
-_RUN_CACHE: ContextVar[ColumnCache | None] = ContextVar("gp_run_cache", default=None)
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,8 @@ def terminal_set(modality_count: int, n_constants: int) -> tuple[Node, ...]:
     return variables + constants
 
 
-def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
+def fitness(tree: ExpressionTree, ds: ScoreDataset, *,
+            cache: ColumnCache | None = None) -> float:
     """Sweep EER of the tree's fused scores; lower is better.
 
     :func:`sweep_eer` reads the EER straight from class views of the fused
@@ -209,14 +207,13 @@ def fitness(tree: ExpressionTree, ds: ScoreDataset) -> float:
     A tree that reads no variable (``root.max_var == -1``) scores 0.5 with
     no evaluation and no sweep: it fuses every row to the same finite
     value, for which the sweep gives exactly the chance level 0.5.
-    Inside :func:`evolve`, a tree scored on the run's training set reuses
-    the run's subtree columns; the fused scores are the same bits.
+    ``cache``, a :class:`~fusebench.trees.ColumnCache` built for
+    ``ds.scores``, lends the tree its stored subtree columns and keeps the
+    new ones; the fused scores are the same bits.  A cache built for
+    another matrix is a :class:`ValidationError`.
     """
     if tree.root.max_var == -1:
         return 0.5
-    cache = _RUN_CACHE.get()
-    if cache is not None and cache.scores is not ds.scores:
-        cache = None
     fused = evaluate_matrix(tree, ds.scores, cache=cache)
     return sweep_eer(fused[:ds.genuine_count], fused[ds.genuine_count:])
 
@@ -335,20 +332,15 @@ def mutate(parent: ExpressionTree, cfg: EvolutionConfig, terminals, rng) -> Expr
 
 
 def population_stats(generation: int, population, fitnesses) -> GenerationStats:
-    """Summarize one generation.  A best individual that is a row of a
-    population array is copied to a tuple: a view would keep the whole
-    generation's array alive for as long as the history."""
+    """Summarize one generation."""
     fits = np.asarray(fitnesses, dtype=np.float64)
-    best = population[int(np.argmin(fits))]
-    if isinstance(best, np.ndarray):
-        best = tuple(best.tolist())
     return GenerationStats(
         generation=generation,
         best=float(fits.min()),
         worst=float(fits.max()),
         mean=float(fits.mean()),
         std=float(fits.std()),
-        best_individual=best,
+        best_individual=population[int(np.argmin(fits))],
     )
 
 
@@ -400,9 +392,9 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     bred generations.  Same seed and data reproduce the run bit-for-bit.
     Every created tree is scored once, by ``fusebench.gp.fitness`` looked
     up at call time, so wrapping that function sees every tree the run creates.
-    Those calls share one :class:`~fusebench.trees.ColumnCache` of
-    ``train.scores``, which keeps up to ``trees.CACHE_COLUMNS`` subtree
-    columns.
+    Each call is ``fitness(tree, train, cache=cache)``, with the run's one
+    :class:`~fusebench.trees.ColumnCache` of ``train.scores``, which keeps up
+    to ``trees.CACHE_COLUMNS`` subtree columns.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
@@ -429,12 +421,9 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
             children.append(child)
         return children
 
-    token = _RUN_CACHE.set(ColumnCache(train.scores))
-    try:
-        return generational_search(population, lambda tree: fitness(tree, train), breed,
-                                   cfg.max_generations, elite_count, cfg.fitness_target)
-    finally:
-        _RUN_CACHE.reset(token)
+    cache = ColumnCache(train.scores)
+    return generational_search(population, lambda tree: fitness(tree, train, cache=cache),
+                               breed, cfg.max_generations, elite_count, cfg.fitness_target)
 
 
 def history_to_csv(history) -> str:

@@ -23,7 +23,7 @@ index of that plateau gives the same EER bits.  Bisection finds k with
 about ten probes, and builds no grid: a probe computes its one threshold by
 the grid's formula, counts the impostors at or above it, and bisects the
 sorted genuine scores for those below it.  Only the genuine class is
-sorted, and the search ends at the first grid index above its maximum.
+sorted.
 
 :func:`exact_eer` evaluates every threshold where the rates can change and
 exists so the grid approximation can be checked against ground truth.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -181,10 +180,8 @@ def sweep_eer(genuine, impostor) -> float:
         imp_ge, gen_lt = count(k)
         return imp_ge * g - gen_lt * i
 
-    # bisect for the first k with d(k) <= 0; there is one wherever every
-    # genuine score lies below the threshold, and SWEEP_POINTS means none
-    a, b = 0, bisect.bisect_right(range(SWEEP_POINTS), gen[-1],
-                                  key=partial(_threshold_grid, lo, span))
+    # bisect for the first k with d(k) <= 0; SWEEP_POINTS means none
+    a, b = 0, SWEEP_POINTS
     while a < b:
         mid = (a + b) // 2
         if d(mid) <= 0:

@@ -185,7 +185,7 @@ def test_criterion_4_full_scale_gp_closure_and_elitism(monkeypatch):
     root_violations = 0
     depth_violations = 0
 
-    def observed_fitness(tree, train):
+    def observed_fitness(tree, train, **kwargs):
         # evolve scores every tree it creates exactly once, through gp.fitness
         nonlocal created, root_violations, depth_violations
         created += 1
@@ -193,7 +193,7 @@ def test_criterion_4_full_scale_gp_closure_and_elitism(monkeypatch):
             root_violations += 1
         if tree.depth > cfg.max_depth:
             depth_violations += 1
-        return fitness(tree, train)
+        return fitness(tree, train, **kwargs)
 
     monkeypatch.setattr(gp, "fitness", observed_fitness)
     started = time.perf_counter()

@@ -402,14 +402,15 @@ class TestGaFitnessMemo:
         fresh = baselines._weighted_eer
         returned = []
         swept = []
-        # chromosome bytes of the previous generation, and of this one's sweeps
+        # chromosomes of the previous generation, and of this one's sweeps
         window = [set(), set()]
 
         def counted_eer(w, *args):
-            key = w.tobytes()
-            assert key not in window[0] and key not in window[1]
-            window[1].add(key)
-            swept.append(key)
+            assert type(w) is tuple and len(w) == ds.modality_count
+            assert all(type(gene) is float for gene in w)
+            assert w not in window[0] and w not in window[1]
+            window[1].add(w)
+            swept.append(w)
             return fresh(w, *args)
 
         def checked_search(population, score, breed, *args):
@@ -420,7 +421,7 @@ class TestGaFitnessMemo:
                 return value
 
             def windowed_breed(generation, population, *rest):
-                window[:] = [{w.tobytes() for w in population}, set()]
+                window[:] = [set(population), set()]
                 return breed(generation, population, *rest)
 
             return generational_search(population, checked_score, windowed_breed, *args)

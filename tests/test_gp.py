@@ -218,8 +218,8 @@ class TestFitness:
         ds = make_gaussian(seed=17, modalities=3, genuine=50, impostor=90)
         scored = []
 
-        def recorded(tree, train):
-            value = fitness(tree, train)
+        def recorded(tree, train, **kwargs):
+            value = fitness(tree, train, **kwargs)
             scored.append((tree, train, value))
             return value
 
@@ -571,9 +571,9 @@ class TestEvolve:
         cfg = small_config(max_generations=3)
         seen = []
 
-        def observed_fitness(tree, train):
+        def observed_fitness(tree, train, **kwargs):
             seen.append(tree)
-            return fitness(tree, train)
+            return fitness(tree, train, **kwargs)
 
         monkeypatch.setattr(gp, "fitness", observed_fitness)
         result = evolve(ds, cfg)
@@ -659,32 +659,18 @@ class TestRunCache:
         assert uncached.best_individual == cached.best_individual
         assert uncached.history == cached.history
 
-    def test_fitness_reads_the_cache_only_for_its_matrix(self, make_gaussian):
+    def test_fitness_fills_the_cache_it_is_given_and_only_for_its_matrix(
+        self, make_gaussian
+    ):
         train = make_gaussian(seed=14, modalities=2)
         other = make_gaussian(seed=15, modalities=2)
         t = parse_sexpr("(add (mul (var 0) (var 1)) (var 1))")
-        expected = [fitness(t, train), fitness(t, other)]
+        expected = fitness(t, train)
         cache = ColumnCache(train.scores)
-        token = gp._RUN_CACHE.set(cache)
-        try:
-            assert [fitness(t, train), fitness(t, other)] == expected
-        finally:
-            gp._RUN_CACHE.reset(token)
+        assert bits(fitness(t, train, cache=cache)) == bits(expected)
         assert [node for node, _ in cache._entries.values()] == [t.root.left]
-
-    def test_the_cache_ends_with_the_run(self, make_gaussian, monkeypatch):
-        ds = make_gaussian(seed=16, modalities=2)
-        evolve(ds, small_config(max_generations=1))
-        assert gp._RUN_CACHE.get() is None
-
-        def failing(tree, train):
-            assert gp._RUN_CACHE.get().scores is train.scores
-            raise RuntimeError("scorer failed")
-
-        monkeypatch.setattr(gp, "fitness", failing)
-        with pytest.raises(RuntimeError, match="scorer failed"):
-            evolve(ds, small_config(max_generations=1))
-        assert gp._RUN_CACHE.get() is None
+        with pytest.raises(ValidationError, match="another score matrix"):
+            fitness(t, other, cache=cache)
 
 
 class TestGenerationalSearch:
