@@ -672,6 +672,36 @@ class TestRunCache:
         with pytest.raises(ValidationError, match="another score matrix"):
             fitness(t, other, cache=cache)
 
+    def test_the_cache_ends_with_the_run(self, make_gaussian, monkeypatch):
+        """Every fitness call of a run gets the run's one cache, built for
+        its training matrix; no other run, nor one after a failed run,
+        sees that cache again."""
+        ds = make_gaussian(seed=16, modalities=2)
+        real_fitness = gp.fitness
+        runs = []  # the caches each run handed to fitness, one list a run
+
+        def observed(tree, train, *, cache=None):
+            assert cache is not None and cache.scores is train.scores
+            runs[-1].append(cache)
+            return real_fitness(tree, train, cache=cache)
+
+        def failing(tree, train, *, cache=None):
+            observed(tree, train, cache=cache)
+            raise RuntimeError("scorer failed")
+
+        for scorer in (observed, observed, failing, observed):
+            runs.append([])
+            monkeypatch.setattr(gp, "fitness", scorer)
+            if scorer is failing:
+                with pytest.raises(RuntimeError, match="scorer failed"):
+                    evolve(ds, small_config(max_generations=1))
+            else:
+                evolve(ds, small_config(max_generations=1))
+
+        firsts = [run[0] for run in runs]
+        assert all(cache is first for first, run in zip(firsts, runs) for cache in run)
+        assert len({id(first) for first in firsts}) == len(runs)
+
 
 class TestGenerationalSearch:
     """The shared GP/GA loop on a toy problem: integers scored by |x - 7|,
