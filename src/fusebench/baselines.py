@@ -21,9 +21,8 @@ The GA supplies its initial population and breeding to the loop it shares
 with the GP, :func:`fusebench.gp.generational_search`; its chromosomes are
 tuples of Python floats, bred gene by gene with the IEEE operations, in the
 order, of the numpy array expressions they stand for.  Randomness: one
-generator seeded with ``GaConfig.seed`` draws the initial population, then,
-through a :class:`fusebench.gp.Draws` that reads its raw words, each
-generation's breeding in slot order.
+``GaConfig.seed`` generator, read through a :class:`fusebench.gp.Draws`,
+draws the initial population, then each generation's breeding in slot order.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class GaConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         if not 0.0 < self.selection_q < 1.0:
             raise ValidationError("selection_q must lie in (0, 1)")
-        # numpy samples uniform(lo, hi) only for a finite width hi - lo
+        # a gene lo + (hi - lo) * u is finite only for a finite width hi - lo
         if not 0.0 < self.weight_hi - self.weight_lo < np.inf:
             raise ValidationError("weight interval must have a positive, finite width")
         for name in ("p_crossover", "p_mutation"):
@@ -198,12 +197,10 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
 
     The result's best individual is the best weight tuple ever seen.
 
-    One PCG64 generator seeded with ``cfg.seed`` draws the initial
-    population in one ``uniform`` call.  Breeding then draws from its raw
-    words through a :class:`fusebench.gp.Draws`, with the values and in the
-    order of the ``Generator`` calls it stands for: a mutation's n resample
-    flags, then its n fresh genes, each ``weight_lo + (weight_hi -
-    weight_lo) * u`` as numpy's ``uniform`` computes it.
+    One PCG64 generator seeded with ``cfg.seed``, read through a
+    :class:`fusebench.gp.Draws`, draws the initial population row by row,
+    then breeding's values in the order of the ``Generator`` calls they
+    stand for; every gene is ``weight_lo + (weight_hi - weight_lo) * u``.
 
     Rank selection mostly copies a parent verbatim, so fitness is memoized
     by chromosome over a window of the previous generation and the children
@@ -218,13 +215,13 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     """
     check_score_spread(train)
     n = train.modality_count
-    rng = np.random.default_rng(cfg.seed)
-    pop = rng.uniform(cfg.weight_lo, cfg.weight_hi, size=(cfg.population_size, n))
-    if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
-        pop[0, :] = 1.0  # equal-weight seed: tuned <= sum-rule EER on train
-    draws = Draws(rng)
+    draws = Draws(np.random.default_rng(cfg.seed))
     lo = float(cfg.weight_lo)
     span = float(cfg.weight_hi) - lo
+    population = [tuple(lo + span * draws.random() for _ in range(n))
+                  for _ in range(cfg.population_size)]
+    if cfg.weight_lo <= 1.0 <= cfg.weight_hi:
+        population[0] = (1.0,) * n  # equal-weight seed: tuned <= sum-rule EER on train
     cum = np.cumsum(geometric_selection_probs(cfg.population_size, cfg.selection_q)).tolist()
     known: dict[tuple[float, ...], float] = {}  # chromosome -> training EER
     scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
@@ -259,7 +256,7 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
             children.append(child)
         return children
 
-    return generational_search([tuple(w) for w in pop.tolist()], score, breed,
+    return generational_search(population, score, breed,
                                cfg.generations, 1 if cfg.elitism else 0)
 
 

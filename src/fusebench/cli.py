@@ -7,7 +7,8 @@ Three subcommands cover the workbench lifecycle:
 * ``eval-tree``: re-evaluate a saved fusion tree on a score file, enabling
   exact replay of a report's numbers from the persisted artifacts.
 
-Exit status: 0 on success, 2 on usage errors (bad flags, unknown method,
+Exit status: 0 on success, 2 on usage errors (bad flags, including a setting
+built from flags that the library's own check rejects; unknown method;
 unreadable input), 1 on runtime errors (malformed data, degenerate inputs).
 """
 
@@ -17,19 +18,21 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
 from .baselines import GA_PRESETS
 from .datasets import (
     SyntheticSpec,
+    check_negations,
     fuse_classes,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split_dataset,
 )
-from .errors import FusebenchError, ValidationError
+from .errors import FusebenchError, ValidationError, check_int
 from .experiment import (
     FUSION_METHODS,
     run_experiment,
@@ -121,19 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_negations(indices, modalities: int) -> tuple[int, ...]:
-    bad = [i for i in indices if not 0 <= i < modalities]
-    if bad:
-        raise UsageError(
-            f"--negate-modality {bad} out of range for {modalities} modalities"
-        )
-    return tuple(indices)
-
-
-def _check_seed(seed: int) -> None:
-    """numpy's seeding rejects a negative seed; report it as a usage error."""
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+@contextmanager
+def _flag_settings():
+    """Build settings from flags; a library check rejecting one is a usage error."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_or_usage_error(path, modalities, negate):
@@ -144,15 +141,12 @@ def _load_or_usage_error(path, modalities, negate):
 
 
 def cmd_run(args) -> int:
-    _check_seed(args.seed)
-    try:
+    with _flag_settings():
+        check_int("--seed", args.seed, 0)
         methods = select_methods(t.strip() for t in args.methods.split(",") if t.strip())
-    except ValidationError as exc:
-        raise UsageError(str(exc)) from None
-    negate = _check_negations(args.negate_modality, args.modalities)
-    if args.gp_generations is not None and args.gp_generations < 1:
-        raise UsageError("--gp-generations must be >= 1")
-
+        if args.gp_generations is not None:
+            check_int("--gp-generations", args.gp_generations, 1)
+        negate = check_negations(args.negate_modality, args.modalities)
     ds = _load_or_usage_error(args.input, args.modalities, negate)
     result = run_experiment(
         ds,
@@ -193,7 +187,6 @@ def _parse_float_list(text: str, modalities: int, flag: str) -> tuple[float, ...
 
 
 def cmd_gen_synth(args) -> int:
-    _check_seed(args.seed)
     modalities = args.modalities
     genuine_count = args.genuine_count
     impostor_count = args.impostor_count
@@ -209,16 +202,20 @@ def cmd_gen_synth(args) -> int:
             "need --modalities, --genuine-count and --impostor-count "
             "(or a --shape preset)"
         )
-    spec = SyntheticSpec(
-        modality_count=modalities,
-        genuine_means=_parse_float_list(args.genuine_mean, modalities, "--genuine-mean"),
-        genuine_stddevs=_parse_float_list(args.genuine_std, modalities, "--genuine-std"),
-        impostor_means=_parse_float_list(args.impostor_mean, modalities, "--impostor-mean"),
-        impostor_stddevs=_parse_float_list(args.impostor_std, modalities, "--impostor-std"),
-        genuine_count=genuine_count,
-        impostor_count=impostor_count,
-        seed=args.seed,
-    )
+    with _flag_settings():
+        check_int("--seed", args.seed, 0)
+        spec = SyntheticSpec(
+            modality_count=modalities,
+            genuine_means=_parse_float_list(args.genuine_mean, modalities, "--genuine-mean"),
+            genuine_stddevs=_parse_float_list(args.genuine_std, modalities, "--genuine-std"),
+            impostor_means=_parse_float_list(args.impostor_mean, modalities,
+                                             "--impostor-mean"),
+            impostor_stddevs=_parse_float_list(args.impostor_std, modalities,
+                                               "--impostor-std"),
+            genuine_count=genuine_count,
+            impostor_count=impostor_count,
+            seed=args.seed,
+        )
     ds = generate_synthetic(spec)
     save_dataset(ds, args.out)
     print(f"wrote {ds.genuine_count} genuine + {ds.impostor_count} impostor "
@@ -227,7 +224,8 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_eval_tree(args) -> int:
-    negate = _check_negations(args.negate_modality, args.modalities)
+    with _flag_settings():
+        negate = check_negations(args.negate_modality, args.modalities)
     if args.hter_threshold is not None and not math.isfinite(args.hter_threshold):
         raise UsageError(f"--hter-threshold must be finite, got {args.hter_threshold}")
     try:

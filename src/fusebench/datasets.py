@@ -136,10 +136,10 @@ class SyntheticSpec:
             value = tuple(float(v) for v in getattr(self, field))
             object.__setattr__(self, field, value)
             if len(value) != self.modality_count:
-                raise ValidationError(
-                    f"{field} must list {self.modality_count} values, "
-                    f"got {len(value)}"
-                )
+                raise ValidationError(f"{field} must list {self.modality_count} values, "
+                                      f"got {len(value)}")
+            if not all(map(math.isfinite, value)):
+                raise ValidationError(f"all {field} must be finite, got {value}")
         for field in ("genuine_stddevs", "impostor_stddevs"):
             if any(s <= 0 for s in getattr(self, field)):
                 raise ValidationError(f"all {field} must be strictly positive")
@@ -264,6 +264,17 @@ def _load_reference(path: Path, modality_count: int):
             np.asarray(impostor_rows, dtype=np.float64))
 
 
+def check_negations(indices: Iterable[int], modality_count: int) -> list[int]:
+    """The distinct modality ``indices`` to negate, sorted, once all pass the checks."""
+    modality_count = check_int("modality_count", modality_count, 2)
+    negate = sorted({check_int("negate_modalities index", i, 0) for i in indices})
+    if negate and negate[-1] >= modality_count:
+        raise ValidationError(
+            f"negate_modalities {negate} out of range for {modality_count} modalities"
+        )
+    return negate
+
+
 def load_dataset(path, modality_count: int, *,
                  negate_modalities: Iterable[int] = ()) -> ScoreDataset:
     """Parse a score CSV into a :class:`ScoreDataset` named by the file's stem.
@@ -275,13 +286,7 @@ def load_dataset(path, modality_count: int, *,
     line number) and :class:`ValidationError` if either class ends up empty.
     """
     path = Path(path)
-    modality_count = check_int("modality_count", modality_count, 2)
-    negate = sorted({check_int("negate_modalities index", i, 0)
-                     for i in negate_modalities})
-    if negate and negate[-1] >= modality_count:
-        raise ValidationError(
-            f"negate_modalities {negate} out of range for {modality_count} modalities"
-        )
+    negate = check_negations(negate_modalities, modality_count)
     genuine, impostor = (_load_canonical(path, modality_count)
                          or _load_reference(path, modality_count))
     if negate:

@@ -103,8 +103,8 @@ class EvolutionConfig:
             raise ValidationError("p_crossover + p_mutation must be > 0")
         if not 0.0 < self.tournament_p <= 1.0:
             raise ValidationError("tournament_p must lie in (0, 1]")
-        if self.fitness_target < 0.0:
-            raise ValidationError("fitness_target must be >= 0")
+        if not 0.0 <= self.fitness_target < math.inf:
+            raise ValidationError("fitness_target must be finite and >= 0")
 
 
 @dataclass(frozen=True)

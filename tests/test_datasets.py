@@ -1,5 +1,6 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
+import math
 import warnings
 from functools import partial
 
@@ -369,6 +370,17 @@ class TestSynthetic:
         with pytest.raises(ValidationError, match="strictly positive"):
             SyntheticSpec(2, (1.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0),
                           genuine_count=5, impostor_count=5, seed=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["genuine_means", "genuine_stddevs",
+                                       "impostor_means", "impostor_stddevs"])
+    def test_non_finite_mean_or_stddev_rejected(self, field, value):
+        """``nan <= 0`` is false, so only a finiteness check stops a NaN stddev."""
+        settings = dict(genuine_means=(1.0, 1.0), genuine_stddevs=(1.0, 1.0),
+                        impostor_means=(0.0, 0.0), impostor_stddevs=(1.0, 1.0))
+        settings[field] = (1.0, value)
+        with pytest.raises(ValidationError, match=f"all {field} must be finite"):
+            SyntheticSpec(2, **settings, genuine_count=5, impostor_count=5, seed=0)
 
 
 class TestTypes:

@@ -605,3 +605,38 @@ class TestCliEvalTree:
         assert replay["eer"] == 0.5
         assert replay["eer_threshold"] == threshold
         assert math.copysign(1.0, replay["eer_threshold"]) == 1.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--modalities", "1"]),
+    ("eval-tree", ["--modalities", "1"]),
+    ("gen-synth", ["--modalities", "1"]),
+    ("gen-synth", ["--genuine-count", "0"]),
+    ("gen-synth", ["--impostor-count", "-3"]),
+    ("gen-synth", ["--genuine-std", "0"]),
+    ("gen-synth", ["--genuine-mean", "nan"]),
+    ("gen-synth", ["--impostor-std", "inf"]),
+], ids=lambda value: value if isinstance(value, str) else "=".join(value))
+def test_a_flag_setting_the_library_rejects_is_a_usage_error(
+    score_csv, gp_run, tmp_path, capsys, command, flags
+):
+    """The library's own check judges each setting built from flags; what it
+    rejects exits 2, with nothing printed to stdout and no file written."""
+    run_dir, _ = gp_run
+    out = tmp_path / "out"
+    valid = {
+        "run": ["--input", str(score_csv), "--modalities", "3", "--methods", "sum",
+                "--out", str(out)],
+        "eval-tree": ["--tree", str(run_dir / "gp_best_tree.txt"), "--input",
+                      str(score_csv), "--modalities", "3",
+                      "--params", str(run_dir / "normalization.json")],
+        "gen-synth": ["--modalities", "3", "--genuine-count", "5",
+                      "--impostor-count", "5", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    code = main([command, *valid, *flags])  # a repeated flag's last value wins
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage error: ")
+    assert captured.out == ""
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """GP engine: initialization, selection, variation operators, evolution loop."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -127,6 +128,13 @@ class TestConfig:
     def test_rejects_inconsistent_settings(self, overrides):
         with pytest.raises(ValidationError):
             EvolutionConfig(seed=1, **overrides)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_fitness_target_is_rejected(self, target):
+        """A NaN target would switch early stopping off, and either value
+        would reach report.json as a bare NaN or Infinity, which is not JSON."""
+        with pytest.raises(ValidationError, match="fitness_target must be finite"):
+            EvolutionConfig(seed=1, fitness_target=target)
 
     def test_max_depth_is_bounded_by_the_parser(self):
         assert small_config(max_depth=MAX_TREE_DEPTH).max_depth == MAX_TREE_DEPTH
