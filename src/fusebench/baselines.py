@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .datasets import ScoreDataset, SplitPair, fuse_classes
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_real
 from .gp import Draws, EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_eer, sweep_roc
 
@@ -65,14 +65,15 @@ class GaConfig:
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("population_size", 2), ("generations", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        for name in ("selection_q", "p_crossover", "p_mutation"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, 1.0))
+        for name in ("weight_lo", "weight_hi"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.selection_q < 1.0:
             raise ValidationError("selection_q must lie in (0, 1)")
         # a gene lo + (hi - lo) * u is finite only for a finite width hi - lo
         if not 0.0 < self.weight_hi - self.weight_lo < np.inf:
             raise ValidationError("weight interval must have a positive, finite width")
-        for name in ("p_crossover", "p_mutation"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
 
 
 # GaConfig overrides per scale; ``desk`` is quicker, with the same semantics
@@ -172,6 +173,7 @@ def geometric_selection_probs(population_size: int, q: float) -> np.ndarray:
     which sums to exactly 1 over the population.
     """
     population_size = check_int("population_size", population_size, 1)
+    q = check_real("q", q, 0.0, 1.0)
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie in (0, 1)")
     q_norm = q / (1.0 - (1.0 - q) ** population_size)
@@ -216,8 +218,8 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     check_score_spread(train)
     n = train.modality_count
     draws = Draws(np.random.default_rng(cfg.seed))
-    lo = float(cfg.weight_lo)
-    span = float(cfg.weight_hi) - lo
+    lo = cfg.weight_lo
+    span = cfg.weight_hi - lo
     population = [tuple(lo + span * draws.random() for _ in range(n))
                   for _ in range(cfg.population_size)]
     if cfg.weight_lo <= 1.0 <= cfg.weight_hi:

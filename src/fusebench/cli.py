@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -32,7 +31,7 @@ from .datasets import (
     save_dataset,
     split_dataset,
 )
-from .errors import FusebenchError, ValidationError, check_int
+from .errors import FusebenchError, ValidationError, check_int, check_real
 from .experiment import (
     FUSION_METHODS,
     run_experiment,
@@ -173,35 +172,26 @@ def cmd_run(args) -> int:
 
 
 def _parse_float_list(text: str, modalities: int, flag: str) -> tuple[float, ...]:
+    """The flag's numbers, one value repeated for every modality; SyntheticSpec
+    checks the count of a longer list."""
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if len(values) == 1:
-        return values * modalities
-    if len(values) != modalities:
-        raise UsageError(
-            f"{flag} lists {len(values)} values but there are {modalities} modalities"
-        )
-    return values
+    return values * modalities if len(values) == 1 else values
 
 
 def cmd_gen_synth(args) -> int:
-    modalities = args.modalities
-    genuine_count = args.genuine_count
-    impostor_count = args.impostor_count
-    if args.shape is not None:
-        shape = SHAPES[args.shape]
-        modalities = shape["modalities"] if modalities is None else modalities
-        genuine_count = (shape["genuine_count"] if genuine_count is None
-                         else genuine_count)
-        impostor_count = (shape["impostor_count"] if impostor_count is None
-                          else impostor_count)
-    if modalities is None or genuine_count is None or impostor_count is None:
+    # each count comes from its flag, else from the --shape preset
+    shape = SHAPES.get(args.shape, {})
+    counts = [shape.get(key) if getattr(args, key) is None else getattr(args, key)
+              for key in ("modalities", "genuine_count", "impostor_count")]
+    if None in counts:
         raise UsageError(
             "need --modalities, --genuine-count and --impostor-count "
             "(or a --shape preset)"
         )
+    modalities, genuine_count, impostor_count = counts
     with _flag_settings():
         check_int("--seed", args.seed, 0)
         spec = SyntheticSpec(
@@ -216,7 +206,8 @@ def cmd_gen_synth(args) -> int:
             impostor_count=impostor_count,
             seed=args.seed,
         )
-    ds = generate_synthetic(spec)
+        # finite parameters can still draw scores that overflow to +-inf
+        ds = generate_synthetic(spec)
     save_dataset(ds, args.out)
     print(f"wrote {ds.genuine_count} genuine + {ds.impostor_count} impostor "
           f"tuples ({ds.modality_count} modalities) to {args.out}")
@@ -226,8 +217,8 @@ def cmd_gen_synth(args) -> int:
 def cmd_eval_tree(args) -> int:
     with _flag_settings():
         negate = check_negations(args.negate_modality, args.modalities)
-    if args.hter_threshold is not None and not math.isfinite(args.hter_threshold):
-        raise UsageError(f"--hter-threshold must be finite, got {args.hter_threshold}")
+        if args.hter_threshold is not None:
+            check_real("--hter-threshold", args.hter_threshold)
     try:
         tree_text = Path(args.tree).read_text(encoding="utf-8", errors="surrogateescape")
         params_text = Path(args.params).read_text(encoding="utf-8", errors="surrogateescape")

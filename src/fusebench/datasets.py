@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ScoreFileError, ValidationError, check_int
+from .errors import ScoreFileError, ValidationError, check_int, check_real
 from .metrics import FusedScores
 
 _LABELS = ("genuine", "impostor")
@@ -133,13 +133,12 @@ class SyntheticSpec:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for field in ("genuine_means", "genuine_stddevs",
                       "impostor_means", "impostor_stddevs"):
-            value = tuple(float(v) for v in getattr(self, field))
+            value = tuple(check_real(f"{field}[{m}]", v)
+                          for m, v in enumerate(getattr(self, field)))
             object.__setattr__(self, field, value)
             if len(value) != self.modality_count:
                 raise ValidationError(f"{field} must list {self.modality_count} values, "
                                       f"got {len(value)}")
-            if not all(map(math.isfinite, value)):
-                raise ValidationError(f"all {field} must be finite, got {value}")
         for field in ("genuine_stddevs", "impostor_stddevs"):
             if any(s <= 0 for s in getattr(self, field)):
                 raise ValidationError(f"all {field} must be strictly positive")

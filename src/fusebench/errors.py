@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and :func:`check_int`, the
-one check every seed, size and count a caller passes in goes through."""
+"""Exception types shared across the package, and the checks every setting a
+caller passes in goes through: :func:`check_int` for each seed, size and
+count, :func:`check_real` for each real-valued setting."""
 
+import math
 import numbers
 
 
@@ -29,6 +31,22 @@ def check_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a Python float, if it is a real number (not a bool) that
+    is finite and within ``[low, high]``; otherwise a :class:`ValidationError`
+    naming it.  An int too large for a float is rejected, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r:.80}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not (math.isfinite(real) and low <= real <= high):
+        raise ValidationError(f"{name} must be finite and within [{low:g}, {high:g}], "
+                              f"got {value!r:.80}")
+    return real
 
 
 class DegenerateModalityError(ValidationError):

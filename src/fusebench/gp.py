@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ScoreDataset
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_real
 # sweep_roc is unused here but kept: benchmarks/spans.py rebinds gp.sweep_roc
 from .metrics import sweep_eer, sweep_roc
 from .trees import (
@@ -92,19 +92,17 @@ class EvolutionConfig:
                 <= MAX_TREE_DEPTH):
             raise ValidationError("need 1 <= init_depth_min <= init_depth_max"
                                   f" <= max_depth <= {MAX_TREE_DEPTH}")
-        for name in ("p_crossover", "p_mutation", "p_reproduction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
+        for name, high in (("p_crossover", 1.0), ("p_mutation", 1.0), ("p_reproduction", 1.0),
+                           ("tournament_p", 1.0), ("fitness_target", math.inf)):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, high))
         total = self.p_crossover + self.p_mutation + self.p_reproduction
         if not math.isclose(total, 1.0, abs_tol=1e-9):
             raise ValidationError(f"operator probabilities sum to {total}, expected 1")
         # evolve renormalizes these two odds over the non-elite slots
         if self.p_crossover + self.p_mutation <= 0.0:
             raise ValidationError("p_crossover + p_mutation must be > 0")
-        if not 0.0 < self.tournament_p <= 1.0:
+        if self.tournament_p <= 0.0:
             raise ValidationError("tournament_p must lie in (0, 1]")
-        if not 0.0 <= self.fitness_target < math.inf:
-            raise ValidationError("fitness_target must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,12 @@ statistics.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import ScoreDataset
-from .errors import DegenerateModalityError, ValidationError
+from .errors import DegenerateModalityError, ValidationError, check_real
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,8 @@ class TanhNormalizer:
 
     def __post_init__(self):
         for name in ("means", "stddevs"):
-            values = getattr(self, name)
-            try:
-                floats = tuple(float(v) for v in values
-                               if isinstance(v, numbers.Real) and not isinstance(v, bool))
-            except OverflowError:  # an integer too large for a float
-                floats = ()
-            if len(floats) != len(values) or not all(map(math.isfinite, floats)):
-                raise ValidationError(f"{name} must be finite numbers, got {values!r:.80}")
-            object.__setattr__(self, name, floats)
+            object.__setattr__(self, name, tuple(check_real(f"{name}[{m}]", v)
+                                                 for m, v in enumerate(getattr(self, name))))
         if len(self.means) != len(self.stddevs) or not self.means:
             raise ValidationError("means and stddevs must be equal-length, non-empty")
         for m, s in enumerate(self.stddevs):
@@ -83,8 +74,10 @@ def fit_tanh_normalizer(train: ScoreDataset) -> TanhNormalizer:
     """
     if train.genuine_count < 2:
         raise ValidationError("fitting needs at least two genuine tuples")
-    means = train.genuine.mean(axis=0)
-    stddevs = train.genuine.std(axis=0)
+    # scores near +-1e308 overflow these sums to inf, which TanhNormalizer rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = train.genuine.mean(axis=0)
+        stddevs = train.genuine.std(axis=0)
     return TanhNormalizer(tuple(means.tolist()), tuple(stddevs.tolist()))
 
 

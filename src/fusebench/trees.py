@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SexprError, ValidationError, check_int
+from .errors import SexprError, ValidationError, check_int, check_real
 
 DIV_EPSILON = 1e-12
 VALUE_CLAMP = 1e100
@@ -130,11 +130,8 @@ class Const:
     max_var = -1
 
     def __post_init__(self):
-        value = float(self.value)
-        if not abs(value) <= VALUE_CLAMP:
-            raise ValidationError(
-                f"constant must be finite and within +-{VALUE_CLAMP:g}, got {value!r}")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value",
+                           check_real("constant", self.value, -VALUE_CLAMP, VALUE_CLAMP))
 
 
 @dataclass(frozen=True, slots=True)

@@ -305,11 +305,15 @@ class TestGaConfig:
         with pytest.raises(ValidationError):
             GaConfig(seed=1, **overrides)
 
-    @pytest.mark.parametrize("lo, hi", [(-10.0, np.inf), (-np.inf, 10.0),
-                                         (-1e308, 1e308), (-10.0, np.nan)])
-    def test_interval_numpy_cannot_sample_is_rejected(self, lo, hi):
-        # ga_tune_weights would end in numpy's bare OverflowError
-        with pytest.raises(ValidationError, match="finite width"):
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-10.0, np.inf, "weight_hi must be finite"),
+        (-np.inf, 10.0, "weight_lo must be finite"),
+        (-1e308, 1e308, "finite width"),
+        (-10.0, np.nan, "weight_hi must be finite"),
+    ], ids=["-10.0-inf", "-inf-10.0", "-1e+308-1e+308", "-10.0-nan"])
+    def test_interval_numpy_cannot_sample_is_rejected(self, lo, hi, message):
+        # ga_tune_weights would draw infinite or NaN genes
+        with pytest.raises(ValidationError, match=message):
             GaConfig(seed=1, weight_lo=lo, weight_hi=hi)
 
 

@@ -379,7 +379,7 @@ class TestSynthetic:
         settings = dict(genuine_means=(1.0, 1.0), genuine_stddevs=(1.0, 1.0),
                         impostor_means=(0.0, 0.0), impostor_stddevs=(1.0, 1.0))
         settings[field] = (1.0, value)
-        with pytest.raises(ValidationError, match=f"all {field} must be finite"):
+        with pytest.raises(ValidationError, match=rf"^{field}\[1\] must be finite"):
             SyntheticSpec(2, **settings, genuine_count=5, impostor_count=5, seed=0)
 
 

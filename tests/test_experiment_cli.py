@@ -500,14 +500,14 @@ class TestCliEvalTree:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("means, stddevs", [
-        ("[null, 0.0, 0.0]", "[1.0, 1.0, 1.0]"),
-        ("[[1], 0.0, 0.0]", "[1.0, 1.0, 1.0]"),
-        ("[0.0, 0.0, 0.0]", "[1.0, 1.0, " + "9" * 400 + "]"),
-        ("[0.0, 0.0, 0.0]", "[true, 1.0, 1.0]"),
+    @pytest.mark.parametrize("means, stddevs, message", [
+        ("[null, 0.0, 0.0]", "[1.0, 1.0, 1.0]", "means[0] must be a real number"),
+        ("[[1], 0.0, 0.0]", "[1.0, 1.0, 1.0]", "means[0] must be a real number"),
+        ("[0.0, 0.0, 0.0]", "[1.0, 1.0, " + "9" * 400 + "]", "stddevs[2] must be finite"),
+        ("[0.0, 0.0, 0.0]", "[true, 1.0, 1.0]", "stddevs[0] must be a real number"),
     ], ids=["null-mean", "list-mean", "huge-int-stddev", "boolean-stddev"])
     def test_malformed_params_are_a_data_error(
-        self, score_csv, gp_run, tmp_path, capsys, means, stddevs
+        self, score_csv, gp_run, tmp_path, capsys, means, stddevs, message
     ):
         out, _ = gp_run
         params = tmp_path / "params.json"
@@ -517,7 +517,7 @@ class TestCliEvalTree:
             "--input", str(score_csv), "--modalities", "3", "--params", str(params),
         ])
         assert code == 1
-        assert "must be finite numbers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_tree_referencing_a_missing_modality_is_a_data_error(
         self, score_csv, gp_run, tmp_path, capsys
@@ -543,7 +543,7 @@ class TestCliEvalTree:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_hter_threshold_is_a_usage_error(
         self, score_csv, gp_run, capsys, threshold
     ):
@@ -616,6 +616,8 @@ class TestCliEvalTree:
     ("gen-synth", ["--genuine-std", "0"]),
     ("gen-synth", ["--genuine-mean", "nan"]),
     ("gen-synth", ["--impostor-std", "inf"]),
+    # finite parameters whose draws overflow to inf, at --shape banca's genuine count
+    ("gen-synth", ["--genuine-count", "467", "--genuine-std", "1e308"]),
 ], ids=lambda value: value if isinstance(value, str) else "=".join(value))
 def test_a_flag_setting_the_library_rejects_is_a_usage_error(
     score_csv, gp_run, tmp_path, capsys, command, flags

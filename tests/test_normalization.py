@@ -50,6 +50,24 @@ class TestFit:
         with pytest.raises(ValidationError, match="two genuine"):
             fit_tanh_normalizer(ds)
 
+    @pytest.mark.parametrize("column, message", [
+        ([1e308, 1.5e308, 1.7e308], r"^means\[1\] must be finite"),
+        ([1e300, -1e300, 1e300], r"^stddevs\[1\] must be finite"),
+    ], ids=["mean-overflows", "variance-overflows"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_statistics_are_a_validation_error_without_warning(
+        self, column, message
+    ):
+        ds = dataset_with_genuine([[1.0, 2.0, 4.0], column])
+        with pytest.raises(ValidationError, match=message):
+            fit_tanh_normalizer(ds)
+
+    def test_finite_statistics_are_numpy_mean_and_std(self, make_gaussian):
+        ds = make_gaussian(seed=9, genuine=40, impostor=40)
+        norm = fit_tanh_normalizer(ds)
+        assert norm.means == tuple(ds.genuine.mean(axis=0).tolist())
+        assert norm.stddevs == tuple(ds.genuine.std(axis=0).tolist())
+
     def test_impostors_never_consulted(self, make_gaussian):
         base = make_gaussian(seed=8, genuine=40, impostor=40)
         shifted = ScoreDataset(
@@ -166,19 +184,19 @@ class TestParamsDocument:
         with pytest.raises(ValidationError, match="declares 3"):
             normalizer_from_json(text)
 
-    @pytest.mark.parametrize("means, stddevs", [
-        ("[null, 0.0]", "[1.0, 1.0]"),
-        ("[[1], 0.0]", "[1.0, 1.0]"),
-        ("[0.0, 0.0]", "[1.0, " + "9" * 400 + "]"),
-        ("[0.0, 0.0]", "[true, 1.0]"),
-        ("[0.0, NaN]", "[1.0, 1.0]"),
-        ("[0.0, 0.0]", "[1.0, Infinity]"),
-        ("[0.0, 1e400]", "[1.0, 1.0]"),
-        ("\"ab\"", "\"cd\""),
+    @pytest.mark.parametrize("means, stddevs, message", [
+        ("[null, 0.0]", "[1.0, 1.0]", r"means\[0\] must be a real number, got None"),
+        ("[[1], 0.0]", "[1.0, 1.0]", r"means\[0\] must be a real number, got \[1\]"),
+        ("[0.0, 0.0]", "[1.0, " + "9" * 400 + "]", r"stddevs\[1\] must be finite"),
+        ("[0.0, 0.0]", "[true, 1.0]", r"stddevs\[0\] must be a real number, got True"),
+        ("[0.0, NaN]", "[1.0, 1.0]", r"means\[1\] must be finite .*, got nan"),
+        ("[0.0, 0.0]", "[1.0, Infinity]", r"stddevs\[1\] must be finite .*, got inf"),
+        ("[0.0, 1e400]", "[1.0, 1.0]", r"means\[1\] must be finite .*, got inf"),
+        ("\"ab\"", "\"cd\"", r"means\[0\] must be a real number, got 'a'"),
     ], ids=["null", "list", "huge-int", "boolean", "nan", "infinity", "overflow", "strings"])
-    def test_non_numeric_or_non_finite_values_rejected(self, means, stddevs):
+    def test_non_numeric_or_non_finite_values_rejected(self, means, stddevs, message):
         text = f'{{"means": {means}, "stddevs": {stddevs}}}'
-        with pytest.raises(ValidationError, match="must be finite numbers"):
+        with pytest.raises(ValidationError, match=f"^{message}"):
             normalizer_from_json(text)
 
     def test_values_become_floats(self):
