@@ -18,6 +18,7 @@ statistics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,13 @@ class TanhNormalizer:
     stddevs: tuple[float, ...]
 
     def __post_init__(self):
-        for name in ("means", "stddevs"):
-            object.__setattr__(self, name, tuple(check_real(f"{name}[{m}]", v)
+        for name, low in (("means", -math.inf), ("stddevs", 0.0)):
+            object.__setattr__(self, name, tuple(check_real(f"{name}[{m}]", v, low)
                                                  for m, v in enumerate(getattr(self, name))))
         if len(self.means) != len(self.stddevs) or not self.means:
             raise ValidationError("means and stddevs must be equal-length, non-empty")
         for m, s in enumerate(self.stddevs):
-            if s <= 0:
+            if s == 0:
                 raise DegenerateModalityError(m)
 
     @property

@@ -1,6 +1,9 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
+import builtins
+import io
 import math
+import os
 import warnings
 from functools import partial
 
@@ -42,6 +45,13 @@ def write(tmp_path, text, name="scores.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_canonical(path, modalities):
+    """The numpy reader's matrices for the file at ``path``, its halves
+    stacked per class, or ``None`` where it declines."""
+    halves = _load_canonical(path.read_bytes(), modalities)
+    return halves and tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
 def save_to(tmp_path, ds):
@@ -143,6 +153,23 @@ class TestLoadDataset:
         path = write(tmp_path, "0.9,0.8,genuine\n\n0.1,0.2,impostor\n\n")
         ds = load_dataset(path, 2)
         assert ds.genuine_count == 1 and ds.impostor_count == 1
+
+    def test_a_declined_file_is_read_once(self, tmp_path, monkeypatch):
+        # CRLF line ends send the file to the csv-module reader
+        path = write(tmp_path, "face,voice,label\r\n0.9,0.8,genuine\r\n0.1,0.2,impostor\r\n")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        ds = load_dataset(path, 2)
+        assert (ds.genuine_count, ds.impostor_count) == (1, 1)
+        assert len(opened) == 1
 
     def test_negate_modalities(self, tmp_path):
         path = write(tmp_path, "0.9,0.8,genuine\n0.1,0.2,impostor\n")
@@ -251,9 +278,9 @@ class TestNumpyReader:
 
     def test_reads_what_dataset_to_csv_writes_bit_for_bit(self, tmp_path, make_gaussian):
         for path in self._canonical_files(tmp_path, make_gaussian):
-            fast = _load_canonical(path, 3)
+            fast = read_canonical(path, 3)
             assert fast is not None
-            for got, want in zip(fast, _load_reference(path, 3)):
+            for got, want in zip(fast, _load_reference(path, path.read_bytes(), 3)):
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -261,7 +288,7 @@ class TestNumpyReader:
     def test_load_dataset_takes_the_numpy_reader(self, tmp_path, make_gaussian,
                                                  monkeypatch, negate):
         for path in self._canonical_files(tmp_path, make_gaussian):
-            genuine, impostor = _load_reference(path, 3)
+            genuine, impostor = _load_reference(path, path.read_bytes(), 3)
             genuine[:, list(negate)] *= -1.0
             impostor[:, list(negate)] *= -1.0
             with monkeypatch.context() as patch:
@@ -281,8 +308,140 @@ class TestNumpyReader:
         # numpy warns "input contained no data", which must not escape
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _load_canonical(path, 2) is None
+            assert _load_canonical(path.read_bytes(), 2) is None
         assert caught == []
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, on a process that
+    may run on two CPUs whatever the host allows."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """Split every load and save between two processes, however small."""
+    monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
+
+
+class TestTwoProcesses:
+    """Past ``_FORK_MIN_BYTES`` a forked child converts the second half of
+    the rows; the bits, bytes and errors stay those of one process."""
+
+    HEADER = "face,voice,iris,label\n"
+
+    def test_only_inputs_past_the_constant_fork_and_only_on_two_cpus(self, monkeypatch):
+        size = datasets._FORK_MIN_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert not datasets._forks(size)
+        assert datasets._forks(size + 1) == hasattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not datasets._forks(size + 1)
+
+    def test_a_banca_shape_file_never_forks(self, tmp_path, forks):
+        ds = generate_synthetic(SyntheticSpec(4, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4,
+                                              (1.0,) * 4, 467, 624, seed=1))
+        path = save_to(tmp_path, ds)
+        assert np.array_equal(load_dataset(path, 4).scores, ds.scores)
+        assert forks == []
+
+    def _reference(self, path, negate=()):
+        genuine, impostor = _load_reference(path, path.read_bytes(), 3)
+        genuine[:, list(negate)] *= -1.0
+        impostor[:, list(negate)] *= -1.0
+        return np.concatenate([genuine, impostor]), genuine.shape[0]
+
+    @pytest.mark.parametrize("layout", ["blank lines between rows", "blank second half",
+                                        "blank first half"])
+    def test_load_gives_the_reference_bits(self, tmp_path, make_gaussian, monkeypatch,
+                                           forks, any_size, layout):
+        text = dataset_to_csv(make_gaussian(seed=2, modalities=3, genuine=11, impostor=20))
+        if layout == "blank lines between rows":
+            text = text.replace("genuine\n", "genuine\n\n")
+        elif layout == "blank second half":
+            text += "\n" * 2 * len(text)
+        else:
+            text = "\n" * 2 * len(text) + text
+        path = write(tmp_path, self.HEADER + text)
+        want, genuine_count = self._reference(path, (0, 2))
+        monkeypatch.setattr(datasets, "_load_reference", None)  # numpy reads both halves
+        ds = load_dataset(path, 3, negate_modalities=(0, 2))
+        assert_no_child_left()
+        assert len(forks) == 1
+        assert np.array_equal(ds.scores.view(np.int64), want.view(np.int64))
+        assert ds.genuine_count == genuine_count
+
+    @pytest.mark.parametrize("genuine, impostor", [(3, 10), (10, 3), (7, 7), (1, 1)])
+    def test_save_writes_dataset_to_csv_bytes(self, tmp_path, make_gaussian, forks,
+                                              any_size, genuine, impostor):
+        # the label boundary falls in the first half, the second, or between them
+        ds = make_gaussian(seed=4, modalities=3, genuine=genuine, impostor=impostor)
+        path = tmp_path / "saved.csv"
+        save_dataset(ds, path)
+        assert_no_child_left()
+        assert len(forks) == 1
+        assert path.read_bytes() == dataset_to_csv(ds).encode() == naive_dataset_to_csv(
+            ds).encode()
+
+    def test_a_malformed_row_in_the_second_half_names_its_line(self, tmp_path,
+                                                               make_gaussian, forks,
+                                                               any_size):
+        lines = dataset_to_csv(make_gaussian(seed=6, modalities=3, genuine=9,
+                                             impostor=9)).splitlines(keepends=True)
+        lines[14] = lines[14].replace("impostor", "client")
+        path = write(tmp_path, self.HEADER + "".join(lines))
+        with pytest.raises(ScoreFileError) as reference:
+            _load_reference(path, path.read_bytes(), 3)
+        with pytest.raises(ScoreFileError) as loaded:
+            load_dataset(path, 3)
+        assert_no_child_left()
+        assert len(forks) == 1
+        assert loaded.value.line_no == reference.value.line_no == 16
+        assert str(loaded.value) == str(reference.value)
+
+    def test_a_failed_child_changes_nothing(self, tmp_path, make_gaussian, monkeypatch,
+                                            forks, any_size):
+        parent = os.getpid()
+
+        def failing_in_the_child(fn):
+            def call(*args):
+                if os.getpid() != parent:
+                    raise RuntimeError("child fails")
+                return fn(*args)
+            return call
+
+        ds = make_gaussian(seed=7, modalities=3, genuine=12, impostor=15)
+        path = write(tmp_path, self.HEADER + dataset_to_csv(ds))
+        want, _ = self._reference(path)
+        for name in ("_parse_canonical", "_csv_blocks"):
+            monkeypatch.setattr(datasets, name, failing_in_the_child(getattr(datasets, name)))
+        loaded = load_dataset(path, 3)
+        assert_no_child_left()
+        assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
+        saved = tmp_path / "saved.csv"
+        save_dataset(ds, saved)
+        assert_no_child_left()
+        assert len(forks) == 2
+        assert saved.read_bytes() == dataset_to_csv(ds).encode()
 
 
 class TestSplit:

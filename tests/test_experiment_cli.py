@@ -505,7 +505,12 @@ class TestCliEvalTree:
         ("[[1], 0.0, 0.0]", "[1.0, 1.0, 1.0]", "means[0] must be a real number"),
         ("[0.0, 0.0, 0.0]", "[1.0, 1.0, " + "9" * 400 + "]", "stddevs[2] must be finite"),
         ("[0.0, 0.0, 0.0]", "[true, 1.0, 1.0]", "stddevs[0] must be a real number"),
-    ], ids=["null-mean", "list-mean", "huge-int-stddev", "boolean-stddev"])
+        ("[0.0, 0.0, 0.0]", "[1.0, -2.0, 1.0]",
+         "stddevs[1] must be finite and within [0, inf], got -2.0"),
+        ("[0.0, 0.0, 0.0]", "[1.0, 0.0, 1.0]",
+         "modality 1 has zero genuine-score standard deviation"),
+    ], ids=["null-mean", "list-mean", "huge-int-stddev", "boolean-stddev",
+            "negative-stddev", "zero-stddev"])
     def test_malformed_params_are_a_data_error(
         self, score_csv, gp_run, tmp_path, capsys, means, stddevs, message
     ):

@@ -5,6 +5,7 @@ The score CSV's numpy reader is also checked against its ``csv``-module
 reference, bit for bit."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from fusebench import datasets
 from fusebench.datasets import (
     ScoreDataset,
     _load_canonical,
@@ -187,19 +189,29 @@ def _outcome(read, *args):
 # numpy strips 0x1c-0x1f around a number, and reads a field of any length
 @example(case=(2, b"0.1,0.2,impostor\n\x1c0.5,1.0,genuine\n"))
 @example(case=(2, b"0.1,0.2,impostor\n0." + b"0" * 131_070 + b"1,1.0,genuine\n"))
-def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, case):
+@pytest.mark.parametrize("two_processes", [False, True],
+                         ids=["one process", "two processes"])
+def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, two_processes, case):
     """The numpy reader returns the reference's bits and class counts, or
-    declines and ``load_dataset`` gives the reference's result or error."""
+    declines and ``load_dataset`` gives the reference's result or error.
+    Split between two processes, it accepts exactly the files one accepts."""
     modalities, data = case
     fuzz_csv.write_bytes(data)
-    reference, error = _outcome(_load_reference, fuzz_csv, modalities)
-    fast = _load_canonical(fuzz_csv, modalities)
-    event("numpy reader " + ("declined" if fast is None else "accepted"))
-    if fast is None:
-        loaded, loaded_error = _outcome(load_dataset, fuzz_csv, modalities)
-        assert loaded_error == error
-        if error is None:
-            fast = (loaded.genuine, loaded.impostor)
+    reference, error = _outcome(_load_reference, fuzz_csv, data, modalities)
+    in_one_process = _load_canonical(data, modalities)
+    with pytest.MonkeyPatch.context() as patch:
+        if two_processes:
+            patch.setattr(datasets, "_FORK_MIN_BYTES", 0)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        halves = _load_canonical(data, modalities)
+        assert (halves is None) == (in_one_process is None)
+        fast = halves and tuple(np.concatenate(parts) for parts in zip(*halves))
+        event("numpy reader " + ("declined" if fast is None else "accepted"))
+        if fast is None:
+            loaded, loaded_error = _outcome(load_dataset, fuzz_csv, modalities)
+            assert loaded_error == error
+            if error is None:
+                fast = (loaded.genuine, loaded.impostor)
     if error is None:
         for got, want in zip(fast, reference):
             assert got.shape == want.shape

@@ -193,11 +193,19 @@ class TestParamsDocument:
         ("[0.0, 0.0]", "[1.0, Infinity]", r"stddevs\[1\] must be finite .*, got inf"),
         ("[0.0, 1e400]", "[1.0, 1.0]", r"means\[1\] must be finite .*, got inf"),
         ("\"ab\"", "\"cd\"", r"means\[0\] must be a real number, got 'a'"),
-    ], ids=["null", "list", "huge-int", "boolean", "nan", "infinity", "overflow", "strings"])
+        ("[0.0, 0.0]", "[1.0, -2.0]",
+         r"stddevs\[1\] must be finite and within \[0, inf\], got -2.0"),
+    ], ids=["null", "list", "huge-int", "boolean", "nan", "infinity", "overflow", "strings",
+            "negative-stddev"])
     def test_non_numeric_or_non_finite_values_rejected(self, means, stddevs, message):
         text = f'{{"means": {means}, "stddevs": {stddevs}}}'
         with pytest.raises(ValidationError, match=f"^{message}"):
             normalizer_from_json(text)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_a_zero_stddev_is_a_degenerate_modality(self, zero):
+        with pytest.raises(DegenerateModalityError, match="^modality 1 has zero"):
+            TanhNormalizer((0.0, 0.0), (1.0, zero))
 
     def test_values_become_floats(self):
         norm = TanhNormalizer((0, np.float64(1.5)), (2, 3.0))
