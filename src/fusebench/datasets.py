@@ -24,12 +24,15 @@ converts the first.  The numpy reader splits the bytes at the first line end
 past the middle and parses each half alike, skipping the header in the first
 only; if either half declines, the whole file goes to the reference.
 :func:`save_dataset` writes the child's text for rows ``[n // 2, n)`` after
-its own.  The fork, with the page copies it causes, costs about what
-converting half a megabyte of text does: on a 2-CPU Xeon, two processes
-loaded a 0.57 MB file no faster than one, and a 1.09 MB file in 0.71x the
-time.  A save compares the constant with its matrix's bytes, about a third
-of its text's, where formatting, slower than parsing, pays sooner.  So a
-``banca``-shape file (94 KB) never forks.  If the child fails in any way,
+its own.  The child writes its half, pickled rows or text, into an unnamed
+temporary file in ``TMPDIR``, which this process reads once the child has
+exited, copying a save's text in chunks.  The fork, with the page copies
+it causes, costs about what converting half a megabyte of text does: on a
+2-CPU Xeon, two processes loaded a 0.57 MB file no faster than one, and a
+1.09 MB file in 0.71x the time.  A save compares the constant with its
+matrix's bytes, about a third of its text's, where formatting, slower than
+parsing, pays sooner.  So a ``banca``-shape file (94 KB) never forks.  If
+anything fails, no temporary file, no process to spare or a failed child,
 this process converts that half itself, so the bits, bytes and errors are
 always those of one process.
 
@@ -45,6 +48,7 @@ row sum's order, so its bits are the same for either layout.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -52,6 +56,8 @@ import math
 import os
 import pickle
 import re
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,53 +239,44 @@ def _forks(size: int) -> bool:
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _in_two_processes(first, second) -> tuple:
-    """``(first(), second())``, with ``second``, which returns bytes, run in
-    a forked child while this process runs ``first``.
+def _in_two_processes(first, second, read) -> tuple:
+    """``(first(), read(spool))``: ``second(spool)`` writes bytes into a
+    binary file, which ``read`` gets from its start.
 
-    The child writes its bytes, after their length, into a pipe and always
-    leaves through ``os._exit``, so none of this process's cleanup runs
-    twice; this process always reaps it.  If the child fails in any way,
-    this process runs ``second`` itself, so the result, and any error, are
-    what one process gives.
+    A forked child runs ``second`` into an unnamed temporary file while this
+    process runs ``first``; the child always leaves through ``os._exit``, so
+    none of this process's cleanup runs twice, and this process reaps it
+    before reading the file.  On any failure, no temporary file, no process
+    to spare or a child status other than 0, this process runs ``second``
+    itself, into memory.  The temporary file is closed on every path.
     """
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
+    with contextlib.ExitStack() as stack:
+        pid = None
+        with contextlib.suppress(OSError), warnings.catch_warnings():
             # Python 3.12+ warns that a fork in a process with threads, such
             # as OpenBLAS's, may deadlock the child.  The child only parses
             # or formats text with the interpreter and numpy's own loops: it
             # calls no BLAS and starts no thread.
             warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
                                     DeprecationWarning)
+            spool = stack.enter_context(tempfile.TemporaryFile())
             pid = os.fork()
-    except OSError:  # no process to spare: both halves run here
-        os.close(read_end)
-        os.close(write_end)
-        return first(), second()
-    if pid == 0:
-        status = 1
+        if pid == 0:
+            try:
+                second(spool)
+                spool.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
         try:
-            os.close(read_end)
-            payload = second()
-            with open(write_end, "wb") as pipe:
-                pipe.write(len(payload).to_bytes(8, "little"))
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        # closing the pipe first lets a child still writing fail, not block
-        with open(read_end, "rb") as pipe:
             mine = first()
-            header = pipe.read(8)
-            rest = pipe.read(int.from_bytes(header, "little"))
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or len(header) < 8 or len(rest) != int.from_bytes(header, "little"):
-        rest = second()
-    return mine, rest
+        finally:
+            status = os.waitpid(pid, 0)[1] if pid else 1
+        if status != 0:
+            spool = io.BytesIO()
+            second(spool)
+        spool.seek(0)
+        return mine, read(spool)
 
 
 def _parse_canonical(data: bytes, start: int, stop: int, skip: int, modality_count: int):
@@ -330,10 +327,11 @@ def _load_canonical(data: bytes, modality_count: int):
     skip = int(not _looks_numeric(re.match(rb"[^,\n]*", data).group().decode("ascii")))
     cut = data.find(b"\n", len(data) // 2) + 1
     if _forks(len(data)) and 0 < cut < len(data):
-        first, rest = _in_two_processes(
+        halves = _in_two_processes(
             lambda: _parse_canonical(data, 0, cut, skip, modality_count),
-            lambda: pickle.dumps(_parse_canonical(data, cut, len(data), 0, modality_count)))
-        halves = [first, pickle.loads(rest)]
+            lambda spool: pickle.dump(
+                _parse_canonical(data, cut, len(data), 0, modality_count), spool),
+            pickle.load)
     else:
         halves = [_parse_canonical(data, 0, len(data), skip, modality_count)]
     # a class without rows is the reference's to report
@@ -411,9 +409,9 @@ def load_dataset(path, modality_count: int, *,
 _CSV_BLOCK_ROWS = 4096  # rows per formatted block; bounds the text held at once
 
 
-def _csv_blocks(ds: ScoreDataset, start: int, stop: int) -> Iterable[str]:
+def _csv_blocks(ds: ScoreDataset, start: int, stop: int) -> Iterable[bytes]:
     """The canonical CSV text of the stacked rows ``[start, stop)`` of ``ds``
-    in blocks of at most ``_CSV_BLOCK_ROWS`` rows.
+    as ASCII bytes, in blocks of at most ``_CSV_BLOCK_ROWS`` rows.
 
     Float cells use ``repr`` so a load/save round trip is byte-exact.  Each
     block is one ``%`` format, whose ``%r`` calls that same ``repr``.
@@ -425,12 +423,12 @@ def _csv_blocks(ds: ScoreDataset, start: int, stop: int) -> Iterable[str]:
         high = min(high, stop)
         for at in range(max(low, start), high, _CSV_BLOCK_ROWS):
             block = ds.scores[at:min(at + _CSV_BLOCK_ROWS, high)]
-            yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+            yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
 
 def dataset_to_csv(ds: ScoreDataset) -> str:
     """Canonical CSV form: no header, genuine rows first, LF line endings."""
-    return "".join(_csv_blocks(ds, 0, ds.scores.shape[0]))
+    return b"".join(_csv_blocks(ds, 0, ds.scores.shape[0])).decode()
 
 
 def save_dataset(ds: ScoreDataset, path) -> None:
@@ -438,15 +436,13 @@ def save_dataset(ds: ScoreDataset, path) -> None:
     ``_FORK_MIN_BYTES`` of scores, a forked child formats the second half of
     the rows, which follows this process's half."""
     n = ds.scores.shape[0]
-    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         if not _forks(ds.scores.nbytes):
             handle.writelines(_csv_blocks(ds, 0, n))
             return
-        _, rest = _in_two_processes(
-            lambda: handle.writelines(_csv_blocks(ds, 0, n // 2)),
-            lambda: "".join(_csv_blocks(ds, n // 2, n)).encode())
-        handle.flush()
-        handle.buffer.write(rest)
+        _in_two_processes(lambda: handle.writelines(_csv_blocks(ds, 0, n // 2)),
+                          lambda spool: spool.writelines(_csv_blocks(ds, n // 2, n)),
+                          lambda rest: shutil.copyfileobj(rest, handle))
 
 
 def split_dataset(ds: ScoreDataset) -> SplitPair:

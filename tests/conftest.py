@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fusebench.datasets import ScoreDataset, SyntheticSpec, generate_synthetic
+from fusebench.trees import ColumnCache
 
 
 @pytest.fixture
@@ -33,3 +34,27 @@ def tiny_dataset():
     genuine = np.array([[0.9, 0.8], [0.7, 0.9], [0.8, 0.6], [0.6, 0.7]])
     impostor = np.array([[0.1, 0.3], [0.2, 0.1], [0.3, 0.2], [0.4, 0.4]])
     return ScoreDataset(2, genuine, impostor, name="tiny")
+
+
+@pytest.fixture
+def column_work(monkeypatch):
+    """The column cache's hits and computed columns, counted from here on.
+
+    Every column the interpreter computes below a tree's root is ``put``,
+    even into a cache that keeps none, so ``put`` calls count them.
+    """
+    work = {"hits": 0, "computed": 0}
+    get, put = ColumnCache.get, ColumnCache.put
+
+    def counted_get(cache, node):
+        column = get(cache, node)
+        work["hits"] += column is not None
+        return column
+
+    def counted_put(cache, node, column):
+        work["computed"] += 1
+        put(cache, node, column)
+
+    monkeypatch.setattr(ColumnCache, "get", counted_get)
+    monkeypatch.setattr(ColumnCache, "put", counted_put)
+    return work

@@ -1,9 +1,13 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
 import builtins
+import errno
 import io
 import math
 import os
+import pickle
+import signal
+import tempfile
 import warnings
 from functools import partial
 
@@ -418,6 +422,19 @@ class TestTwoProcesses:
         assert loaded.value.line_no == reference.value.line_no == 16
         assert str(loaded.value) == str(reference.value)
 
+    def _load_and_save_as_one_process(self, tmp_path, ds):
+        """Load and save ``ds`` past the constant: the reference's bits, the
+        one-process writer's bytes, and no child left unreaped."""
+        path = write(tmp_path, self.HEADER + dataset_to_csv(ds))
+        want, _ = self._reference(path)
+        loaded = load_dataset(path, 3)
+        assert_no_child_left()
+        assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
+        saved = tmp_path / "saved.csv"
+        save_dataset(ds, saved)
+        assert_no_child_left()
+        assert saved.read_bytes() == dataset_to_csv(ds).encode()
+
     def test_a_failed_child_changes_nothing(self, tmp_path, make_gaussian, monkeypatch,
                                             forks, any_size):
         parent = os.getpid()
@@ -429,19 +446,60 @@ class TestTwoProcesses:
                 return fn(*args)
             return call
 
-        ds = make_gaussian(seed=7, modalities=3, genuine=12, impostor=15)
-        path = write(tmp_path, self.HEADER + dataset_to_csv(ds))
-        want, _ = self._reference(path)
         for name in ("_parse_canonical", "_csv_blocks"):
             monkeypatch.setattr(datasets, name, failing_in_the_child(getattr(datasets, name)))
-        loaded = load_dataset(path, 3)
-        assert_no_child_left()
-        assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
-        saved = tmp_path / "saved.csv"
-        save_dataset(ds, saved)
-        assert_no_child_left()
+        self._load_and_save_as_one_process(
+            tmp_path, make_gaussian(seed=7, modalities=3, genuine=12, impostor=15))
         assert len(forks) == 2
-        assert saved.read_bytes() == dataset_to_csv(ds).encode()
+
+    def test_a_child_that_dies_partway_changes_nothing(self, tmp_path, make_gaussian,
+                                                       monkeypatch, forks, any_size):
+        """The child's half reaches its file in part, then the child dies: by
+        a signal on a load, by an error on a save.  The part is never read."""
+        parent = os.getpid()
+        dump, blocks = pickle.dump, datasets._csv_blocks
+
+        def dump_part_then_die(obj, file):
+            if os.getpid() == parent:
+                return dump(obj, file)
+            payload = pickle.dumps(obj)
+            file.write(payload[:len(payload) // 2])
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def first_block_then_fail(*args):
+            for count, block in enumerate(blocks(*args)):
+                if count and os.getpid() != parent:
+                    raise RuntimeError("child fails")
+                yield block
+
+        monkeypatch.setattr(pickle, "dump", dump_part_then_die)
+        monkeypatch.setattr(datasets, "_csv_blocks", first_block_then_fail)
+        # a block past the file's 8 KiB buffer is written through at once
+        monkeypatch.setattr(datasets, "_CSV_BLOCK_ROWS", 256)
+        self._load_and_save_as_one_process(
+            tmp_path, make_gaussian(seed=8, modalities=3, genuine=700, impostor=900))
+        assert len(forks) == 2
+
+    def test_no_process_to_spare_changes_nothing(self, tmp_path, make_gaussian,
+                                                 monkeypatch, forks, any_size):
+        calls = []
+
+        def no_fork():
+            calls.append(None)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self._load_and_save_as_one_process(
+            tmp_path, make_gaussian(seed=9, modalities=3, genuine=12, impostor=15))
+        assert len(calls) == 2
+
+    def test_no_temporary_file_changes_nothing(self, tmp_path, make_gaussian, monkeypatch,
+                                               forks, any_size):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        self._load_and_save_as_one_process(
+            tmp_path, make_gaussian(seed=10, modalities=3, genuine=12, impostor=15))
+        assert forks == []
 
 
 class TestSplit:

@@ -3,8 +3,9 @@
 A small banca-shaped synthetic run (4 modalities, 467 genuine and 624
 impostor tuples) goes through every fusion method with a short GA and GP.
 The SHA-256 of every artifact it writes is pinned below, and so are the GP's
-two artifacts of a run at the default population of 500 trees and the GA's
-whole history at its desk preset.  A refactor that moves any byte fails here.
+two artifacts of a run at the default population of 500 trees, the GA's
+whole history at its desk preset, and the column work of a default GP run.
+A refactor that moves any byte fails here.
 
 The digests were computed with Python 3.11.7 and numpy 2.4.6.  Another
 numpy may round differently; regenerating them is a deliberate act that
@@ -20,13 +21,15 @@ from fusebench import (
     EvolutionConfig,
     GaConfig,
     SyntheticSpec,
+    fit_tanh_normalizer,
     ga_tune_weights,
     generate_synthetic,
     run_experiment,
+    split_dataset,
     write_artifacts,
 )
 from fusebench.baselines import GA_PRESETS
-from fusebench.gp import history_to_csv
+from fusebench.gp import evolve, history_to_csv
 
 
 GOLDEN = {
@@ -60,6 +63,13 @@ GP_500_GOLDEN = {
 GA_DESK_HISTORY_SHA256 = "b96dd63c829f4474de81c51f8e469431733caf94662d0b4f9a7d43ca0203ccdd"
 GA_DESK_BEST_WEIGHTS = (1.841851946680387, 1.059006667149135,
                         1.1000690756255829, 1.0049335353026745)
+
+
+# The column cache's work over a default GP run, 500 trees over 50 bred
+# generations, on the normalized training half of the same dataset.  The
+# count of computed columns is exact where a time is not: a change to the
+# cache or to evaluation order that moves either count fails here.
+GP_COLUMN_WORK = {"hits": 105_339, "computed": 201_117}
 
 
 def banca_shaped_dataset(integer=int):
@@ -118,3 +128,10 @@ def test_desk_ga_history_and_best_weights_are_pinned():
     history = history_to_csv(result.history)
     assert hashlib.sha256(history.encode()).hexdigest() == GA_DESK_HISTORY_SHA256
     assert result.best_individual == GA_DESK_BEST_WEIGHTS
+
+
+def test_default_gp_column_work_is_pinned(column_work):
+    split = split_dataset(banca_shaped_dataset())
+    train = fit_tanh_normalizer(split.train).transform_dataset(split.train)
+    evolve(train, EvolutionConfig(seed=7))
+    assert column_work == GP_COLUMN_WORK

@@ -667,6 +667,32 @@ class TestRunCache:
         assert uncached.best_individual == cached.best_individual
         assert uncached.history == cached.history
 
+    @pytest.mark.parametrize("columns, second_pass", [(0, (0, 5)), (10_000, (2, 0))])
+    def test_hits_plus_computed_columns_are_the_function_nodes_reached(
+        self, make_gaussian, column_work, columns, second_pass
+    ):
+        """Below the root, the interpreter reaches each variable-holding
+        function node and either reads its column or computes it; a hit ends
+        the descent, so a subtree object met twice is computed once."""
+        ds = make_gaussian(seed=16, modalities=3, genuine=10, impostor=20)
+        shared = Func("mul", Var(0), Var(1))
+        tree = ExpressionTree(Func("add", Func("sub", shared, Const(0.5)),
+                                   Func("max", shared, Func("div", Var(2), Const(2.0)))))
+        # sub, mul, max, mul again and div; the shared node's children are
+        # terminals, so a hit on it skips no function node
+        reached = [node for node, depth in naive_preorder(tree.root)
+                   if depth and isinstance(node, Func) and node.max_var >= 0]
+        assert len(reached) == 5
+        cache = ColumnCache(ds.scores, columns)
+        evaluate_matrix(tree, ds.scores, cache=cache)
+        hits = int(columns > 0)
+        assert column_work == {"hits": hits, "computed": len(reached) - hits}
+        # a second pass reaches only the root's children when both are cached
+        first_pass = dict(column_work)
+        evaluate_matrix(tree, ds.scores, cache=cache)
+        assert (column_work["hits"] - first_pass["hits"],
+                column_work["computed"] - first_pass["computed"]) == second_pass
+
     def test_fitness_fills_the_cache_it_is_given_and_only_for_its_matrix(
         self, make_gaussian
     ):
