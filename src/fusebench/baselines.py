@@ -27,6 +27,7 @@ draws the initial population, then each generation's breeding in slot order.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -36,12 +37,20 @@ from .datasets import ScoreDataset, SplitPair, fuse_classes
 from .errors import ValidationError, check_int, check_real
 from .gp import Draws, EvolutionResult, check_score_spread, draw_rank, generational_search
 from .metrics import FusedScores, RocCurve, auc, hter, sweep_eer, sweep_roc
+from .twoproc import forks, in_two_processes
 
 WEIGHT_LO = -10.0
 WEIGHT_HI = 10.0
 
 
 FIXED_RULES = {"sum": np.sum, "min": np.min, "mul": np.prod}
+
+# a generation's new chromosomes are split between two processes only when
+# the child's share fuses more than this many bytes of training scores.  At
+# bssr1 shape (4 MiB) the fork and the child's first touch of its pages
+# cost about 8 fitness calls: on a 2-CPU Xeon two processes lost every
+# batch of 10 or fewer, broke even at 14 and won from 16, 8 in the child.
+_GA_FORK_MIN_BYTES = 28 << 20
 
 
 @dataclass(frozen=True)
@@ -205,15 +214,20 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     stand for; every gene is ``weight_lo + (weight_hi - weight_lo) * u``.
 
     Rank selection mostly copies a parent verbatim, so fitness is memoized
-    by chromosome over a window of the previous generation and the children
-    scored so far in this one; :func:`_weighted_eer`, looked up at call
-    time, runs once per chromosome new to that window.  An equal chromosome
-    gets the float that the same deterministic fusion and sweep gave, so no
-    result changes; a ``-0.0`` gene equals ``0.0`` and fuses to the same
-    vector, as :func:`fuse_weighted_matrix` clears the sign of a zero
-    sum.  Every call fuses one Fortran-order copy of the training matrix,
-    whose columns :func:`fuse_weighted_matrix` reads contiguously, with the
-    bits it gives for the C-order matrix.
+    by chromosome over a window of the previous generation and this one's
+    children, which are scored as one batch; :func:`_weighted_eer`, looked
+    up at call time, runs once per chromosome new to that window.  Past the
+    size rule of :mod:`fusebench.twoproc`, and once the child's share fuses
+    more than ``_GA_FORK_MIN_BYTES``, a forked child runs it on the second
+    half of those new chromosomes while this process runs it on the first;
+    this process's memo takes every result, in slot order, and after any
+    failure of the child this process scores that half itself.  An equal
+    chromosome gets the float that the same deterministic fusion and sweep
+    gave, so no result changes; a ``-0.0`` gene equals ``0.0`` and fuses to
+    the same vector, as :func:`fuse_weighted_matrix` clears the sign of a
+    zero sum.  Every call fuses one Fortran-order copy of the training
+    matrix, whose columns :func:`fuse_weighted_matrix` reads contiguously,
+    with the bits it gives for the C-order matrix.
     """
     check_score_spread(train)
     n = train.modality_count
@@ -228,10 +242,21 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     known: dict[tuple[float, ...], float] = {}  # chromosome -> training EER
     scores = np.asfortranarray(train.scores)  # contiguous columns to accumulate
 
-    def score(w):
-        if w not in known:
-            known[w] = _weighted_eer(w, scores, train.genuine_count)
-        return known[w]
+    def sweep(chromosomes):
+        return [_weighted_eer(w, scores, train.genuine_count) for w in chromosomes]
+
+    def score(chromosomes):
+        new = list(dict.fromkeys(w for w in chromosomes if w not in known))
+        half = (len(new) + 1) // 2
+        if forks(scores.nbytes) and (len(new) - half) * scores.nbytes > _GA_FORK_MIN_BYTES:
+            mine, theirs = in_two_processes(
+                lambda: sweep(new[:half]),
+                lambda spool: pickle.dump(sweep(new[half:]), spool), pickle.load)
+            fits = mine + theirs
+        else:
+            fits = sweep(new)
+        known.update(zip(new, fits))
+        return [known[w] for w in chromosomes]
 
     def breed(_generation, population, fits, order, count):
         known.clear()

@@ -16,25 +16,17 @@ raises a data error, so every message and line number is the reference's.
 :func:`load_dataset` reads the file once; the reference decodes those bytes
 as it goes.
 
-Turning text into floats and back holds the GIL, so past
-``_FORK_MIN_BYTES`` (1 MiB) of input, a score file's or a score matrix's,
-on a process allowed at least two CPUs (``os.sched_getaffinity``), one
-forked child converts the second half of the rows while this process
-converts the first.  The numpy reader splits the bytes at the first line end
-past the middle and parses each half alike, skipping the header in the first
-only; if either half declines, the whole file goes to the reference.
-:func:`save_dataset` writes the child's text for rows ``[n // 2, n)`` after
-its own.  The child writes its half, pickled rows or text, into an unnamed
-temporary file in ``TMPDIR``, which this process reads once the child has
-exited, copying a save's text in chunks.  The fork, with the page copies
-it causes, costs about what converting half a megabyte of text does: on a
-2-CPU Xeon, two processes loaded a 0.57 MB file no faster than one, and a
-1.09 MB file in 0.71x the time.  A save compares the constant with its
-matrix's bytes, about a third of its text's, where formatting, slower than
-parsing, pays sooner.  So a ``banca``-shape file (94 KB) never forks.  If
-anything fails, no temporary file, no process to spare or a failed child,
-this process converts that half itself, so the bits, bytes and errors are
-always those of one process.
+Past 1 MiB of input, a score file's or a score matrix's, one forked child
+converts the second half of the rows while this process converts the first,
+through :mod:`fusebench.twoproc`, with its failure rule.  The numpy reader
+splits the bytes at the first line end past the middle and parses each half
+alike, skipping the header in the first only; if either half declines, the
+whole file goes to the reference.  The child pickles its rows into the
+seam's temporary file.  :func:`save_dataset` writes the child's text for
+rows ``[n // 2, n)`` after its own, copied from that file in chunks.  A save
+compares the size rule with its matrix's bytes, about a third of its text's,
+where formatting, slower than parsing, pays sooner.  So a ``banca``-shape
+file (94 KB) never forks.
 
 Datasets are immutable once constructed and keep rows in ingestion order,
 which the half/half splitting protocol relies on.  Each stores one stacked
@@ -48,16 +40,13 @@ row sum's order, so its bits are the same for either layout.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
 import math
-import os
 import pickle
 import re
 import shutil
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +56,7 @@ import numpy as np
 
 from .errors import ScoreFileError, ValidationError, check_int, check_real
 from .metrics import FusedScores
+from .twoproc import forks, in_two_processes
 
 _LABELS = ("genuine", "impostor")
 
@@ -228,57 +218,6 @@ def _has_line_longer_than(data: bytes, limit: int) -> bool:
     return False
 
 
-# inputs past this many bytes, a score file's or a score matrix's, are
-# converted in two processes (see the module docstring)
-_FORK_MIN_BYTES = 1 << 20
-
-
-def _forks(size: int) -> bool:
-    """Whether an input of ``size`` bytes is split between two processes."""
-    return (size > _FORK_MIN_BYTES and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _in_two_processes(first, second, read) -> tuple:
-    """``(first(), read(spool))``: ``second(spool)`` writes bytes into a
-    binary file, which ``read`` gets from its start.
-
-    A forked child runs ``second`` into an unnamed temporary file while this
-    process runs ``first``; the child always leaves through ``os._exit``, so
-    none of this process's cleanup runs twice, and this process reaps it
-    before reading the file.  On any failure, no temporary file, no process
-    to spare or a child status other than 0, this process runs ``second``
-    itself, into memory.  The temporary file is closed on every path.
-    """
-    with contextlib.ExitStack() as stack:
-        pid = None
-        with contextlib.suppress(OSError), warnings.catch_warnings():
-            # Python 3.12+ warns that a fork in a process with threads, such
-            # as OpenBLAS's, may deadlock the child.  The child only parses
-            # or formats text with the interpreter and numpy's own loops: it
-            # calls no BLAS and starts no thread.
-            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            spool = stack.enter_context(tempfile.TemporaryFile())
-            pid = os.fork()
-        if pid == 0:
-            try:
-                second(spool)
-                spool.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        try:
-            mine = first()
-        finally:
-            status = os.waitpid(pid, 0)[1] if pid else 1
-        if status != 0:
-            spool = io.BytesIO()
-            second(spool)
-        spool.seek(0)
-        return mine, read(spool)
-
-
 def _parse_canonical(data: bytes, start: int, stop: int, skip: int, modality_count: int):
     """The ``(genuine, impostor)`` matrices of the rows in ``data[start:stop]``
     past its first ``skip`` lines, by numpy's C parser, or ``None`` for rows
@@ -326,8 +265,8 @@ def _load_canonical(data: bytes, modality_count: int):
         return None
     skip = int(not _looks_numeric(re.match(rb"[^,\n]*", data).group().decode("ascii")))
     cut = data.find(b"\n", len(data) // 2) + 1
-    if _forks(len(data)) and 0 < cut < len(data):
-        halves = _in_two_processes(
+    if forks(len(data)) and 0 < cut < len(data):
+        halves = in_two_processes(
             lambda: _parse_canonical(data, 0, cut, skip, modality_count),
             lambda spool: pickle.dump(
                 _parse_canonical(data, cut, len(data), 0, modality_count), spool),
@@ -433,16 +372,16 @@ def dataset_to_csv(ds: ScoreDataset) -> str:
 
 def save_dataset(ds: ScoreDataset, path) -> None:
     """Write :func:`dataset_to_csv`'s text one row block at a time; past
-    ``_FORK_MIN_BYTES`` of scores, a forked child formats the second half of
-    the rows, which follows this process's half."""
+    1 MiB of scores, a forked child formats the second half of the rows,
+    which follows this process's half."""
     n = ds.scores.shape[0]
     with open(path, "wb") as handle:
-        if not _forks(ds.scores.nbytes):
+        if not forks(ds.scores.nbytes):
             handle.writelines(_csv_blocks(ds, 0, n))
             return
-        _in_two_processes(lambda: handle.writelines(_csv_blocks(ds, 0, n // 2)),
-                          lambda spool: spool.writelines(_csv_blocks(ds, n // 2, n)),
-                          lambda rest: shutil.copyfileobj(rest, handle))
+        in_two_processes(lambda: handle.writelines(_csv_blocks(ds, 0, n // 2)),
+                         lambda spool: spool.writelines(_csv_blocks(ds, n // 2, n)),
+                         lambda rest: shutil.copyfileobj(rest, handle))
 
 
 def split_dataset(ds: ScoreDataset) -> SplitPair:

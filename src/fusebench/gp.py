@@ -344,18 +344,20 @@ def population_stats(generation: int, population, fitnesses) -> GenerationStats:
 
 def generational_search(population: list, score, breed, generations: int,
                         elite_count: int, stop_below=None) -> EvolutionResult:
-    """Elitist generational loop minimizing ``score``, shared by GP and GA.
+    """Elitist generational loop minimizing fitness, shared by GP and GA.
 
-    Generation 0 is ``population``.  Each later generation is the previous
-    one's ``elite_count`` best, verbatim and with their fitnesses reused,
-    then the ``count`` children of ``breed(generation, population,
-    fitnesses, order, count)``, where ``order`` ranks the previous
-    generation best first; all children are bred, then scored in order.
+    ``score(individuals)`` returns the list of their fitnesses, in order.
+    Generation 0 is ``population``, scored in one call.  Each later
+    generation is the previous one's ``elite_count`` best, verbatim and with
+    their fitnesses reused, then the ``count`` children of ``breed(generation,
+    population, fitnesses, order, count)``, where ``order`` ranks the
+    previous generation best first; all children are bred, then scored as
+    one batch, so ``score`` never sees an elite.
     The loop stops after ``generations`` bred generations, or once the best
     fitness is below ``stop_below``.  The best individual returned is that
     of the first generation to reach the lowest fitness.
     """
-    fitnesses = [score(individual) for individual in population]
+    fitnesses = score(population)
     history = [population_stats(0, population, fitnesses)]
     for generation in range(1, generations + 1):
         if stop_below is not None and min(st.best for st in history) < stop_below:
@@ -365,7 +367,7 @@ def generational_search(population: list, score, breed, generations: int,
         children = breed(generation, population, fitnesses, order,
                          len(population) - elite_count)
         population = [population[i] for i in elites] + children
-        fitnesses = [fitnesses[i] for i in elites] + [score(c) for c in children]
+        fitnesses = [fitnesses[i] for i in elites] + score(children)
         history.append(population_stats(generation, population, fitnesses))
     best = min(history, key=lambda st: st.best)
     return EvolutionResult(best.best_individual, best.best, tuple(history))
@@ -392,7 +394,8 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     up at call time, so wrapping that function sees every tree the run creates.
     Each call is ``fitness(tree, train, cache=cache)``, with the run's one
     :class:`~fusebench.trees.ColumnCache` of ``train.scores``, which keeps up
-    to ``trees.CACHE_COLUMNS`` subtree columns.
+    to ``trees.CACHE_COLUMNS`` subtree columns.  Every batch is scored in
+    this process, as a forked child would lose the cache entries it fills.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)
@@ -420,7 +423,8 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
         return children
 
     cache = ColumnCache(train.scores)
-    return generational_search(population, lambda tree: fitness(tree, train, cache=cache),
+    return generational_search(population,
+                               lambda trees: [fitness(t, train, cache=cache) for t in trees],
                                breed, cfg.max_generations, elite_count, cfg.fitness_target)
 
 

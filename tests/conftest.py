@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from fusebench import baselines, twoproc
 from fusebench.datasets import ScoreDataset, SyntheticSpec, generate_synthetic
 from fusebench.trees import ColumnCache
 
@@ -58,3 +61,36 @@ def column_work(monkeypatch):
     monkeypatch.setattr(ColumnCache, "get", counted_get)
     monkeypatch.setattr(ColumnCache, "put", counted_put)
     return work
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, on a process that
+    may run on two CPUs whatever the host allows."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """Split every load, save and GA batch between two processes, however
+    small."""
+    monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(baselines, "_GA_FORK_MIN_BYTES", 0)

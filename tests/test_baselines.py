@@ -1,11 +1,18 @@
 """Fixed fusion rules, weighted sums, GA weight tuning, baseline protocol."""
 
+import errno
+import os
+import pickle
+import signal
+import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
 
 import fusebench.baselines as baselines
+from conftest import assert_no_child_left
+from fusebench import twoproc
 from fusebench.baselines import (
     FIXED_RULES,
     GA_PRESETS,
@@ -19,10 +26,12 @@ from fusebench.baselines import (
 )
 from fusebench.datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
 from fusebench.errors import ValidationError
+from fusebench.experiment import run_experiment
 from fusebench.gp import generational_search
 from fusebench.metrics import FusedScores, auc, sweep_roc
 from fusebench.normalization import fit_tanh_normalizer
 from oracles import naive_far, naive_frr
+from test_golden import banca_shaped_dataset
 
 
 def tiny_ga_config(**overrides):
@@ -417,26 +426,128 @@ class TestGaFitnessMemo:
             swept.append(w)
             return fresh(w, *args)
 
+        # the initial population, then each breed call's children
+        batches, bred = [], []
+
         def checked_search(population, score, breed, *args):
-            def checked_score(w):
-                value = score(w)
-                assert value == fresh(w, ds.scores, ds.genuine_count)
-                returned.append(value)
-                return value
+            def checked_score(chromosomes):
+                batches.append(list(chromosomes))
+                values = score(chromosomes)
+                assert len(values) == len(chromosomes)
+                for w, value in zip(chromosomes, values):
+                    assert value == fresh(w, ds.scores, ds.genuine_count)
+                returned.extend(values)
+                return values
 
             def windowed_breed(generation, population, *rest):
                 window[:] = [set(population), set()]
-                return breed(generation, population, *rest)
+                children = breed(generation, population, *rest)
+                bred.append(list(children))
+                return children
 
+            bred.append(list(population))
             return generational_search(population, checked_score, windowed_breed, *args)
 
         monkeypatch.setattr(baselines, "_weighted_eer", counted_eer)
         monkeypatch.setattr(baselines, "generational_search", checked_search)
         result = ga_tune_weights(ds, cfg)
+        assert batches == bred and len(batches) == cfg.generations + 1
         assert len(returned) == cfg.population_size + cfg.generations * (
             cfg.population_size - 1)
         assert len(swept) < len(returned) // 2
         assert result.best_fitness == min(returned)
+
+
+class TestGaTwoProcesses:
+    """Past both size rules a forked child scores the second half of each
+    generation's new chromosomes; the result is the one-process result, and
+    on any failure this process scores that half itself."""
+
+    CONFIG = GaConfig(seed=5, **GA_PRESETS["desk"])
+
+    @pytest.fixture(scope="class")
+    def train(self):
+        return normalized_split(banca_shaped_dataset()).train
+
+    @pytest.fixture(scope="class")
+    def one_process(self, train):
+        # class scope: computed before any test's patches
+        return ga_tune_weights(train, self.CONFIG)
+
+    def assert_one_process_result(self, train, one_process):
+        result = ga_tune_weights(train, self.CONFIG)
+        assert_no_child_left()
+        assert result == one_process
+        assert repr(result) == repr(one_process)  # every float's bits
+
+    def test_gives_the_one_process_result(self, train, one_process, forks, any_size):
+        self.assert_one_process_result(train, one_process)
+        assert len(forks) > 0
+
+    def test_a_banca_shape_run_never_forks(self, forks):
+        run_experiment(banca_shaped_dataset(), methods=("weight",))
+        assert forks == []
+
+    def test_a_share_under_the_break_even_is_scored_here(self, train, monkeypatch, forks):
+        monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+        ga_tune_weights(train, self.CONFIG)
+        assert forks == []
+
+    def test_no_process_to_spare(self, train, one_process, monkeypatch, forks, any_size):
+        calls = []
+
+        def no_fork():
+            calls.append(None)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.assert_one_process_result(train, one_process)
+        assert len(calls) > 0
+
+    def test_no_temporary_file(self, train, one_process, tmp_path, monkeypatch, forks,
+                               any_size):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        self.assert_one_process_result(train, one_process)
+        assert forks == []
+
+    def test_a_failed_child(self, train, one_process, monkeypatch, forks, any_size):
+        parent, fresh = os.getpid(), baselines._weighted_eer
+
+        def failing_in_the_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("child fails")
+            return fresh(*args)
+
+        monkeypatch.setattr(baselines, "_weighted_eer", failing_in_the_child)
+        self.assert_one_process_result(train, one_process)
+        assert len(forks) > 0
+
+    def test_a_child_killed_partway(self, train, one_process, monkeypatch, forks,
+                                    any_size):
+        parent, dump = os.getpid(), pickle.dump
+
+        def dump_part_then_die(obj, file):
+            if os.getpid() == parent:
+                return dump(obj, file)
+            payload = pickle.dumps(obj)
+            file.write(payload[:len(payload) // 2])
+            file.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pickle, "dump", dump_part_then_die)
+        self.assert_one_process_result(train, one_process)
+        assert len(forks) > 0
+
+    def test_an_error_in_both_processes_is_this_processs(self, train, monkeypatch,
+                                                          forks, any_size):
+        def failing(*args):
+            raise RuntimeError(f"fails in {os.getpid()}")
+
+        monkeypatch.setattr(baselines, "_weighted_eer", failing)
+        with pytest.raises(RuntimeError, match=f"fails in {os.getpid()}$"):
+            ga_tune_weights(train, self.CONFIG)
+        assert_no_child_left()
+        assert len(forks) == 1
 
 
 class TestEvaluateFusedMethod:

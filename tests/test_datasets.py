@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fusebench import datasets
+from conftest import assert_no_child_left
+from fusebench import datasets, twoproc
 from fusebench.baselines import FIXED_RULES, fuse_rule_matrix, fuse_weighted_matrix
 from fusebench.datasets import (
     ScoreDataset,
@@ -316,50 +317,19 @@ class TestNumpyReader:
         assert caught == []
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test, on a process that
-    may run on two CPUs whatever the host allows."""
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
-@pytest.fixture
-def any_size(monkeypatch):
-    """Split every load and save between two processes, however small."""
-    monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
-
-
 class TestTwoProcesses:
-    """Past ``_FORK_MIN_BYTES`` a forked child converts the second half of
+    """Past the seam's size rule a forked child converts the second half of
     the rows; the bits, bytes and errors stay those of one process."""
 
     HEADER = "face,voice,iris,label\n"
 
     def test_only_inputs_past_the_constant_fork_and_only_on_two_cpus(self, monkeypatch):
-        size = datasets._FORK_MIN_BYTES
+        size = twoproc._FORK_MIN_BYTES
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert not datasets._forks(size)
-        assert datasets._forks(size + 1) == hasattr(os, "fork")
+        assert not twoproc.forks(size)
+        assert twoproc.forks(size + 1) == hasattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not datasets._forks(size + 1)
+        assert not twoproc.forks(size + 1)
 
     def test_a_banca_shape_file_never_forks(self, tmp_path, forks):
         ds = generate_synthetic(SyntheticSpec(4, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4,

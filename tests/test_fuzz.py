@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from fusebench import datasets
+from fusebench import datasets, twoproc
 from fusebench.datasets import (
     ScoreDataset,
     _load_canonical,
@@ -201,7 +201,7 @@ def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, two_processes,
     in_one_process = _load_canonical(data, modalities)
     with pytest.MonkeyPatch.context() as patch:
         if two_processes:
-            patch.setattr(datasets, "_FORK_MIN_BYTES", 0)
+            patch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         halves = _load_canonical(data, modalities)
         assert (halves is None) == (in_one_process is None)

@@ -745,20 +745,26 @@ class TestGenerationalSearch:
     def run(initial, children, generations, elite_count, stop_below=None):
         """Returns the result, the scored individuals in call order, and
         the (generation, population, fitnesses, order, count) of every
-        breed call."""
-        scored, bred = [], []
+        breed call.  The scorer is called once per generation, with the
+        initial population, then with exactly each breed call's children."""
+        scored, bred, batches = [], [], []
+        bred_children = [list(initial)]
 
-        def score(x):
-            scored.append(x)
-            return abs(x - 7)
+        def score(xs):
+            batches.append(list(xs))
+            scored.extend(xs)
+            return [abs(x - 7) for x in xs]
 
         def breed(generation, population, fitnesses, order, count):
             bred.append((generation, list(population), list(fitnesses),
                          [int(i) for i in order], count))
-            return list(children[generation][:count])
+            batch = list(children[generation][:count])
+            bred_children.append(list(batch))
+            return batch
 
         result = generational_search(list(initial), score, breed, generations,
                                      elite_count, stop_below)
+        assert batches == bred_children
         return result, scored, bred
 
     def test_elites_lead_verbatim_and_are_not_rescored(self):
