@@ -13,17 +13,19 @@ A canonical file, printable ASCII with LF endings and no quotes as
 file, and every file that parser cannot vouch for, by the ``csv``-module
 reference reader.  Both give the same float64 bits, and only the reference
 raises a data error, so every message and line number is the reference's.
-:func:`load_dataset` reads the file once; the reference decodes those bytes
-as it goes.
+:func:`load_dataset` opens the file once.  The numpy reader parses
+line-aligned blocks of about 1 MiB, read with ``os.pread``, and keeps only
+their float64 rows; no process holds the file's bytes whole.  The reference
+rereads a declined file from the start of the same handle.
 
 Past 1 MiB of input, a score file's or a score matrix's, one forked child
 converts the second half of the rows while this process converts the first,
 through :mod:`fusebench.twoproc`, with its failure rule.  The numpy reader
-splits the bytes at the first line end past the middle and parses each half
-alike, skipping the header in the first only; if either half declines, the
-whole file goes to the reference.  The child pickles its rows into the
-seam's temporary file.  :func:`save_dataset` writes the child's text for
-rows ``[n // 2, n)`` after its own, copied from that file in chunks.  A save
+cuts the file at the first line end past the middle and reads each part
+alike, skipping the header in the first only; if either declines, the whole
+file goes to the reference.  The child pickles its rows into the seam's
+temporary file.  :func:`save_dataset` writes the child's text for rows
+``[n // 2, n)`` after its own, copied from that file in chunks.  A save
 compares the size rule with its matrix's bytes, about a third of its text's,
 where formatting, slower than parsing, pays sooner.  So a ``banca``-shape
 file (94 KB) never forks.
@@ -44,6 +46,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import pickle
 import re
 import shutil
@@ -208,7 +211,7 @@ def _has_line_longer_than(data: bytes, limit: int) -> bool:
 
     Such a line holds ``limit + 1`` consecutive bytes, a run that covers one
     multiple of ``limit + 1``; measuring the line at each multiple finds it
-    without splitting the file.
+    without splitting ``data`` into lines.
     """
     for at in range(0, len(data), limit + 1):
         start = data.rfind(b"\n", 0, at) + 1
@@ -218,22 +221,19 @@ def _has_line_longer_than(data: bytes, limit: int) -> bool:
     return False
 
 
-def _parse_canonical(data: bytes, start: int, stop: int, skip: int, modality_count: int):
-    """The ``(genuine, impostor)`` matrices of the rows in ``data[start:stop]``
-    past its first ``skip`` lines, by numpy's C parser, or ``None`` for rows
-    it cannot vouch for.  ``start`` and ``stop`` are line boundaries."""
-    lines = io.BytesIO(data)  # shares the bytes, no copy
-    lines.seek(start)
-    for _ in range(skip):
+def _parse_canonical(block: bytes, first: bool, modality_count: int):
+    """The ``(genuine, impostor)`` matrices of the whole lines in ``block``,
+    by numpy's C parser, or ``None`` for rows it cannot vouch for.  The
+    ``first`` block of a file may lead with a header."""
+    lines = io.BytesIO(block)  # shares the bytes, no copy
+    if first and not _looks_numeric(re.match(rb"[^,\n]*", block).group().decode()):
         lines.readline()
     # the structured dtype makes numpy check every row's column count; a
     # label longer than 8 characters keeps 9 and matches neither label
     dtype = [("s", np.float64, (modality_count,)), ("label", "U9")]
-    if _NOT_NEWLINE.search(data, lines.tell(), stop) is None:
+    if _NOT_NEWLINE.search(block, lines.tell()) is None:
         rows = np.empty(0, dtype)  # blank lines only, where numpy warns "no data"
     else:
-        if stop < len(data):
-            lines = itertools.islice(lines, data.count(b"\n", lines.tell(), stop))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -248,51 +248,88 @@ def _parse_canonical(data: bytes, start: int, stop: int, skip: int, modality_cou
     return scores[genuine], scores[~genuine]
 
 
-def _load_canonical(data: bytes, modality_count: int):
-    """Read a canonical score file's bytes with numpy's C parser.
+_READ_BLOCK_BYTES = 1 << 20  # bytes per read; bounds the text held at once
 
-    Returns one ``(genuine, impostor)`` pair of matrices per half of the
-    file it parsed, which stack to :func:`_load_reference`'s matrices bit for
-    bit, or ``None`` for any file it cannot vouch for.  It never raises a
-    data error, so every message comes from the reference.
+
+def _read_at(handle, at: int, size: int) -> bytes:
+    """Up to ``size`` bytes from ``at``, leaving the offset a child shares alone."""
+    if hasattr(os, "pread"):
+        return os.pread(handle.fileno(), size, at)
+    handle.seek(at)  # no os.pread, and so no fork
+    return handle.read(size)
+
+
+def _canonical_rows(handle, start: int, stop: int, modality_count: int):
+    """One ``(genuine, impostor)`` pair of matrices per line-aligned block of
+    about ``_READ_BLOCK_BYTES`` of the file's lines in ``[start, stop)``, or
+    ``None`` for any line numpy cannot vouch for.  ``start`` is a line
+    start; the header rule holds at the file's start only."""
+    limit = csv.field_size_limit()
+    blocks, carry, at = [], b"", start
+    while at < stop:
+        chunk = _read_at(handle, at, min(_READ_BLOCK_BYTES, stop - at))
+        # '"', CR, NUL, non-ASCII bytes and the control characters numpy strips
+        # around a number but float() does not are all the reference's to judge
+        if not chunk or chunk.translate(None, _CANONICAL_BYTES):
+            return None
+        at += len(chunk)
+        block = carry + chunk
+        end = len(block) if at == stop else block.rfind(b"\n", len(carry)) + 1
+        block, carry = block[:end], block[end:]
+        # numpy reads a field past the csv module's limit, which rejects it
+        if len(carry) > limit or _has_line_longer_than(block, limit):
+            return None
+        if block:
+            blocks.append(_parse_canonical(block, start == 0 and not blocks, modality_count))
+            if blocks[-1] is None:
+                return None
+    return blocks
+
+
+def _load_canonical(handle, modality_count: int):
+    """Read a canonical score file, open as ``handle``, with numpy's C parser.
+
+    Returns the ``(genuine, impostor)`` matrices, :func:`_load_reference`'s
+    bit for bit, or ``None`` for any file it cannot vouch for.  It never
+    raises a data error, so every message comes from the reference.
     """
-    # '"', CR, NUL, non-ASCII bytes and the control characters numpy strips
-    # around a number but float() does not are all the reference's to judge
-    if data.translate(None, _CANONICAL_BYTES):
-        return None
-    # numpy reads a field longer than the csv module's limit, which rejects it
-    if _has_line_longer_than(data, csv.field_size_limit()):
-        return None
-    skip = int(not _looks_numeric(re.match(rb"[^,\n]*", data).group().decode("ascii")))
-    cut = data.find(b"\n", len(data) // 2) + 1
-    if forks(len(data)) and 0 < cut < len(data):
+    size = cut = os.fstat(handle.fileno()).st_size
+    if forks(size):  # cut past the first LF from the middle, if the line is short
+        handle.seek(size // 2)
+        short = handle.readline(csv.field_size_limit()).endswith(b"\n")
+        cut = handle.tell() if short else size
+    if 0 < cut < size:
         halves = in_two_processes(
-            lambda: _parse_canonical(data, 0, cut, skip, modality_count),
+            lambda: _canonical_rows(handle, 0, cut, modality_count),
             lambda spool: pickle.dump(
-                _parse_canonical(data, cut, len(data), 0, modality_count), spool),
+                _canonical_rows(handle, cut, size, modality_count), spool),
             pickle.load)
     else:
-        halves = [_parse_canonical(data, 0, len(data), skip, modality_count)]
-    # a class without rows is the reference's to report
-    if None in halves or not all(any(map(len, parts)) for parts in zip(*halves)):
+        halves = [_canonical_rows(handle, 0, size, modality_count)]
+    if None in halves:
         return None
-    return halves
+    classes = tuple(np.concatenate(parts) for parts in zip(*itertools.chain(*halves)))
+    # a class without rows is the reference's to report
+    return classes if len(classes) == 2 and all(map(len, classes)) else None
 
 
-def _load_reference(path: Path, data: bytes, modality_count: int):
-    """Parse any score file's bytes row by row with the ``csv`` module.
+def _load_reference(path: Path, handle, modality_count: int):
+    """Parse any score file, open as the binary ``handle``, row by row with
+    the ``csv`` module, from its start.
 
     Returns the ``(genuine, impostor)`` matrices; raises every data error,
     naming ``path`` and the line.
     """
     genuine_rows: list[list[float]] = []
     impostor_rows: list[list[float]] = []
+    if handle.seekable():  # a pipe is not, and the numpy reader read none of it
+        handle.seek(0)
     # undecodable bytes become lone surrogates, which the row checks reject;
     # the wrapper decodes as it reads, where a str of the file would take
     # four bytes per character
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
-                          errors="surrogateescape", newline="") as handle:
-        reader = csv.reader(handle)
+    with io.TextIOWrapper(handle, encoding="utf-8-sig",
+                          errors="surrogateescape", newline="") as text:
+        reader = csv.reader(text)
         try:
             for line_no, row in enumerate(reader, start=1):
                 if not row:
@@ -333,12 +370,9 @@ def load_dataset(path, modality_count: int, *,
     """
     path = Path(path)
     negate = check_negations(negate_modalities, modality_count)
-    data = path.read_bytes()
-    halves = (_load_canonical(data, modality_count)
-              or [_load_reference(path, data, modality_count)])
-    del data  # the file's bytes outweigh the parsed rows; free them first
-    genuine, impostor = (np.concatenate(parts) if len(parts) > 1 else parts[0]
-                         for parts in zip(*halves))
+    with open(path, "rb") as handle:
+        genuine, impostor = (_load_canonical(handle, modality_count)
+                             or _load_reference(path, handle, modality_count))
     if negate:
         genuine[:, negate] *= -1.0
         impostor[:, negate] *= -1.0

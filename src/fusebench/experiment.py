@@ -39,7 +39,7 @@ from .baselines import (
     evaluate_fused_method,
 )
 from . import gp
-from .datasets import ScoreDataset, SplitPair, fuse_classes, split_dataset
+from .datasets import ScoreDataset, fuse_classes, split_dataset
 from .errors import UndefinedGainError, ValidationError, check_int
 from .gp import EvolutionConfig, EvolutionResult, evolve, history_to_csv
 from .metrics import gain, roc_to_csv
@@ -121,11 +121,11 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
         overrides = {} if gp_generations is None else {"max_generations": gp_generations}
         gp_config = EvolutionConfig(seed=gp_seed, **overrides)
 
-    split = split_dataset(ds)
-    normalizer = fit_tanh_normalizer(split.train)
-    train = normalizer.transform_dataset(split.train)
-    validation = normalizer.transform_dataset(split.validation)
-    normalized = SplitPair(train, validation)
+    # the tanh map is row-wise, so normalizing ds and then splitting it gives
+    # the bits of normalizing each half, and no raw half is held past the fit
+    normalizer = fit_tanh_normalizer(split_dataset(ds).train)
+    normalized = split_dataset(normalizer.transform_dataset(ds))
+    train, validation = normalized.train, normalized.validation
 
     baseline = evaluate_baselines(
         normalized,

@@ -49,7 +49,8 @@ class TanhNormalizer:
         return len(self.means)
 
     def transform_matrix(self, scores: np.ndarray) -> np.ndarray:
-        """Map an (n, modalities) raw-score matrix into (0, 1)."""
+        """Map an (n, modalities) raw-score matrix into (0, 1): the formula's
+        steps, in its order, in place on one new array, so with its bits."""
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[1] != self.modality_count:
             raise ValidationError(
@@ -58,7 +59,12 @@ class TanhNormalizer:
         mu = np.asarray(self.means)
         sigma = np.asarray(self.stddevs)
         with np.errstate(over="ignore"):  # a tiny sigma gives +-inf, and tanh saturates
-            return 0.5 * (np.tanh((scores - mu) / (100.0 * sigma)) + 1.0)
+            out = scores - mu
+            out /= 100.0 * sigma
+            np.tanh(out, out=out)
+            out += 1.0
+            out *= 0.5
+        return out
 
     def transform_dataset(self, ds: ScoreDataset) -> ScoreDataset:
         scores = self.transform_matrix(ds.scores)

@@ -5,6 +5,7 @@ import pytest
 
 from fusebench import baselines, twoproc
 from fusebench.datasets import ScoreDataset, SyntheticSpec, generate_synthetic
+from fusebench.errors import FusebenchError
 from fusebench.trees import ColumnCache
 
 
@@ -61,6 +62,15 @@ def column_work(monkeypatch):
     monkeypatch.setattr(ColumnCache, "get", counted_get)
     monkeypatch.setattr(ColumnCache, "put", counted_put)
     return work
+
+
+def outcome(read, *args):
+    """``read(*args)`` and ``None``, or ``None`` and the type and text of the
+    ``FusebenchError`` it raises."""
+    try:
+        return read(*args), None
+    except FusebenchError as exc:
+        return None, (type(exc), str(exc))
 
 
 def assert_no_child_left():

@@ -1,6 +1,7 @@
 """Dataset ingestion, validation, splitting, and synthesis."""
 
 import builtins
+import csv
 import errno
 import io
 import math
@@ -8,6 +9,7 @@ import os
 import pickle
 import signal
 import tempfile
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, outcome
 from fusebench import datasets, twoproc
 from fusebench.baselines import FIXED_RULES, fuse_rule_matrix, fuse_weighted_matrix
 from fusebench.datasets import (
@@ -53,10 +55,16 @@ def write(tmp_path, text, name="scores.csv"):
 
 
 def read_canonical(path, modalities):
-    """The numpy reader's matrices for the file at ``path``, its halves
-    stacked per class, or ``None`` where it declines."""
-    halves = _load_canonical(path.read_bytes(), modalities)
-    return halves and tuple(np.concatenate(parts) for parts in zip(*halves))
+    """The numpy reader's matrices for the file at ``path``, or ``None``
+    where it declines."""
+    with open(path, "rb") as handle:
+        return _load_canonical(handle, modalities)
+
+
+def read_reference(path, modalities):
+    """The ``csv``-module reader's matrices for the file at ``path``."""
+    with open(path, "rb") as handle:
+        return _load_reference(path, handle, modalities)
 
 
 def save_to(tmp_path, ds):
@@ -176,6 +184,18 @@ class TestLoadDataset:
         assert (ds.genuine_count, ds.impostor_count) == (1, 1)
         assert len(opened) == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_by_the_reference(self):
+        # a pipe has no size and cannot seek: the numpy reader reads none of it
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"face,voice,label\n0.9,0.8,genuine\n0.1,0.2,impostor\n")
+            os.close(write_end)
+            ds = load_dataset(f"/dev/fd/{read_end}", 2)
+        finally:
+            os.close(read_end)
+        assert ds.scores.tolist() == [[0.9, 0.8], [0.1, 0.2]]
+
     def test_negate_modalities(self, tmp_path):
         path = write(tmp_path, "0.9,0.8,genuine\n0.1,0.2,impostor\n")
         ds = load_dataset(path, 2, negate_modalities=[1])
@@ -285,7 +305,7 @@ class TestNumpyReader:
         for path in self._canonical_files(tmp_path, make_gaussian):
             fast = read_canonical(path, 3)
             assert fast is not None
-            for got, want in zip(fast, _load_reference(path, path.read_bytes(), 3)):
+            for got, want in zip(fast, read_reference(path, 3)):
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -293,7 +313,7 @@ class TestNumpyReader:
     def test_load_dataset_takes_the_numpy_reader(self, tmp_path, make_gaussian,
                                                  monkeypatch, negate):
         for path in self._canonical_files(tmp_path, make_gaussian):
-            genuine, impostor = _load_reference(path, path.read_bytes(), 3)
+            genuine, impostor = read_reference(path, 3)
             genuine[:, list(negate)] *= -1.0
             impostor[:, list(negate)] *= -1.0
             with monkeypatch.context() as patch:
@@ -313,8 +333,121 @@ class TestNumpyReader:
         # numpy warns "input contained no data", which must not escape
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _load_canonical(path.read_bytes(), 2) is None
+            assert read_canonical(path, 2) is None
         assert caught == []
+
+
+class TestBlocks:
+    """The numpy reader reads line-aligned blocks of ``_READ_BLOCK_BYTES``.
+    However small they are, it gives the reference's bits, or declines
+    exactly where one block over the whole file declines."""
+
+    CASES = {
+        "a line spanning blocks": "0.123456789,0.5,genuine\n0.25,-0.0,impostor\n"
+                                  "5e-324,1e300,impostor\n",
+        "a header longer than a block": "face score of the probe,voice score,label\n"
+                                        "0.9,0.8,genuine\n0.1,0.2,impostor\n",
+        "a block of blank lines only": "0.9,0.8,genuine\n" + "\n" * 200 + "0.1,0.2,impostor\n",
+        "no final LF": "0.9,0.8,genuine\n0.1,0.2,impostor",
+        "a blank first line": "\n0.9,0.8,genuine\n0.1,0.2,impostor\n",
+        "an unknown label in the last row": "0.9,0.8,genuine\n0.1,0.2,impostor\n0.5,0.5,client\n",
+        "a CR in the last row": "0.9,0.8,genuine\n0.1,0.2,impostor\n0.5,0.5,impostor\r\n",
+        # the header rule holds for the first line only, never a block's first
+        "a word for a score in the last row": "0.9,0.8,genuine\n0.1,0.2,impostor\n"
+                                              "face,0.5,impostor\n",
+    }
+    DECLINED = {"an unknown label in the last row", "a CR in the last row",
+                "a word for a score in the last row"}
+
+    @staticmethod
+    def _check(path, modalities, whole):
+        """The blocks' matrices, and ``load_dataset``'s, against the
+        reference's and against ``whole``, one block's."""
+        blocks = read_canonical(path, modalities)
+        assert (blocks is None) == (whole is None)
+        reference, error = outcome(read_reference, path, modalities)
+        loaded, loaded_error = outcome(load_dataset, path, modalities)
+        assert loaded_error == error
+        assert_no_child_left()
+        if blocks is not None:
+            for got, want in zip(blocks, reference):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if error is None:
+            want = np.concatenate(reference)
+            assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("two_processes", [False, True],
+                             ids=["one process", "two processes"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_any_block_size_reads_like_one_block(self, tmp_path, monkeypatch, name, block,
+                                                 two_processes):
+        path = write(tmp_path, self.CASES[name])
+        whole = read_canonical(path, 2)  # each file fits in one block
+        assert (whole is None) == (name in self.DECLINED)
+        monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
+        if two_processes:
+            monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        self._check(path, 2, whole)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_line_past_the_field_limit_declines_across_blocks(self, tmp_path, monkeypatch,
+                                                                block):
+        limit = csv.field_size_limit(100)
+        try:
+            path = write(tmp_path, "0.9,0.8,genuine\n0." + "0" * 150 + "1,0.5,genuine\n"
+                         "0.1,0.2,impostor\n")
+            assert read_canonical(path, 2) is None
+            monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
+            self._check(path, 2, None)
+            with pytest.raises(ScoreFileError, match=r"scores.csv:2: malformed CSV"):
+                load_dataset(path, 2)
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_a_non_canonical_byte_in_the_childs_last_block_declines(self, tmp_path,
+                                                                    make_gaussian, monkeypatch,
+                                                                    forks, any_size, block):
+        ds = make_gaussian(seed=3, modalities=3, genuine=9, impostor=14)
+        path = write(tmp_path, dataset_to_csv(ds) + "0.5,0.5,0.5,impostor\r")
+        monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
+        self._check(path, 3, None)
+        assert len(forks) == 2  # read_canonical's, then load_dataset's
+        assert load_dataset(path, 3).impostor_count == 15
+
+
+class TestLoadMemory:
+    """A load holds its rows about twice over, and a few blocks of the file's
+    text, but never the whole text: tracemalloc counts numpy's buffers, and
+    in two processes only this process's."""
+
+    @pytest.mark.parametrize("two_processes", [False, True],
+                             ids=["one process", "two processes"])
+    def test_the_peak_is_two_matrices_and_a_few_blocks(self, tmp_path, monkeypatch, forks,
+                                                        two_processes):
+        ds = generate_synthetic(SyntheticSpec(4, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4,
+                                              (1.0,) * 4, 5000, 35000, seed=1))
+        path = write(tmp_path, dataset_to_csv(ds))  # 3.3 MiB, 1.2 MiB of scores
+        # 64 KiB blocks put the bound below the file's size, so a load that
+        # held the whole text could not meet it
+        monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", 1 << 16)
+        bound = 2 * ds.scores.nbytes + 4 * datasets._READ_BLOCK_BYTES
+        assert bound < path.stat().st_size
+        if not two_processes:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_no_child_left()
+        assert len(forks) == two_processes
+        assert np.array_equal(loaded.scores.view(np.int64), ds.scores.view(np.int64))
+        assert peak <= bound
 
 
 class TestTwoProcesses:
@@ -339,7 +472,7 @@ class TestTwoProcesses:
         assert forks == []
 
     def _reference(self, path, negate=()):
-        genuine, impostor = _load_reference(path, path.read_bytes(), 3)
+        genuine, impostor = read_reference(path, 3)
         genuine[:, list(negate)] *= -1.0
         impostor[:, list(negate)] *= -1.0
         return np.concatenate([genuine, impostor]), genuine.shape[0]
@@ -384,7 +517,7 @@ class TestTwoProcesses:
         lines[14] = lines[14].replace("impostor", "client")
         path = write(tmp_path, self.HEADER + "".join(lines))
         with pytest.raises(ScoreFileError) as reference:
-            _load_reference(path, path.read_bytes(), 3)
+            read_reference(path, 3)
         with pytest.raises(ScoreFileError) as loaded:
             load_dataset(path, 3)
         assert_no_child_left()

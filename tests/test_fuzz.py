@@ -4,6 +4,7 @@ outcomes are a result or a ``FusebenchError``; anything else is a crash.
 The score CSV's numpy reader is also checked against its ``csv``-module
 reference, bit for bit."""
 
+import io
 import json
 import os
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import outcome
 from fusebench import datasets, twoproc
 from fusebench.datasets import (
     ScoreDataset,
@@ -177,13 +179,6 @@ def near_valid_score_files(draw):
     return modalities, text.encode("utf-8")
 
 
-def _outcome(read, *args):
-    try:
-        return read(*args), None
-    except FusebenchError as exc:
-        return None, (type(exc), str(exc))
-
-
 @settings(FUZZ, max_examples=400)
 @given(case=near_valid_score_files())
 # numpy strips 0x1c-0x1f around a number, and reads a field of any length
@@ -191,24 +186,30 @@ def _outcome(read, *args):
 @example(case=(2, b"0.1,0.2,impostor\n0." + b"0" * 131_070 + b"1,1.0,genuine\n"))
 @pytest.mark.parametrize("two_processes", [False, True],
                          ids=["one process", "two processes"])
-def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, two_processes, case):
+@pytest.mark.parametrize("block", [None, 7], ids=["1 MiB blocks", "7-byte blocks"])
+def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, block, two_processes,
+                                                        case):
     """The numpy reader returns the reference's bits and class counts, or
     declines and ``load_dataset`` gives the reference's result or error.
-    Split between two processes, it accepts exactly the files one accepts."""
+    Split between two processes, or read in small blocks, it accepts
+    exactly the files one process accepts reading one block."""
     modalities, data = case
     fuzz_csv.write_bytes(data)
-    reference, error = _outcome(_load_reference, fuzz_csv, data, modalities)
-    in_one_process = _load_canonical(data, modalities)
+    reference, error = outcome(_load_reference, fuzz_csv, io.BytesIO(data), modalities)
+    with open(fuzz_csv, "rb") as handle:
+        in_one_process = _load_canonical(handle, modalities)
     with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(datasets, "_READ_BLOCK_BYTES", block)
         if two_processes:
             patch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        halves = _load_canonical(data, modalities)
-        assert (halves is None) == (in_one_process is None)
-        fast = halves and tuple(np.concatenate(parts) for parts in zip(*halves))
+        with open(fuzz_csv, "rb") as handle:
+            fast = _load_canonical(handle, modalities)
+        assert (fast is None) == (in_one_process is None)
         event("numpy reader " + ("declined" if fast is None else "accepted"))
         if fast is None:
-            loaded, loaded_error = _outcome(load_dataset, fuzz_csv, modalities)
+            loaded, loaded_error = outcome(load_dataset, fuzz_csv, modalities)
             assert loaded_error == error
             if error is None:
                 fast = (loaded.genuine, loaded.impostor)

@@ -1,6 +1,7 @@
 """tanh score normalization: fitted statistics, mapping properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,3 +220,20 @@ class TestParamsDocument:
     def test_zero_stddev_rejected(self):
         with pytest.raises(DegenerateModalityError):
             TanhNormalizer((0.0,), (0.0,))
+
+
+def test_transform_matrix_allocates_one_output():
+    # tracemalloc counts numpy's buffers; the input exists before tracing
+    scores = np.random.default_rng(1).normal(size=(50_000, 4))
+    norm = TanhNormalizer((0.5, -1.0, 0.0, 3.0), (2.0, 0.5, 1.0, 4.0))
+    tracemalloc.start()
+    try:
+        out = norm.transform_matrix(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == scores.shape and not np.shares_memory(out, scores)
+    # beyond the output, only a ufunc's fixed-size buffer, never a matrix
+    assert peak <= out.nbytes + (1 << 17) < 2 * out.nbytes
+    want = 0.5 * (np.tanh((scores - norm.means) / (100.0 * np.asarray(norm.stddevs))) + 1.0)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
