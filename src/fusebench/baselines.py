@@ -305,6 +305,16 @@ def evaluate_fused_method(method: str, train_fs: FusedScores,
     )
 
 
+def _evaluate(split: SplitPair, method: str, fuse) -> MethodEvaluation:
+    return evaluate_fused_method(
+        method, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation))
+
+
+def evaluate_weighted(split: SplitPair, ga_result: EvolutionResult) -> MethodEvaluation:
+    """The ``weight`` row: the weighted sum with ``ga_result``'s tuned weights."""
+    return _evaluate(split, "weight", partial(fuse_weighted_matrix, ga_result.best_individual))
+
+
 def evaluate_baselines(
     split: SplitPair, *, ga_config: GaConfig | None = None,
     rules=tuple(FIXED_RULES),
@@ -315,17 +325,12 @@ def evaluate_baselines(
     ``rules``, and, when ``ga_config`` is given, the GA-tuned weighted sum.
     The GA runs last, so an unknown rule name fails before it starts.
     """
-    def evaluate(name, fuse):
-        return evaluate_fused_method(
-            name, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation))
-
     fusions = [(f"s{m + 1}", lambda scores, m=m: scores[:, m])
                for m in range(split.train.modality_count)]
     fusions += [(rule, partial(fuse_rule_matrix, rule)) for rule in rules]
-    results = [evaluate(name, fuse) for name, fuse in fusions]
+    results = [_evaluate(split, name, fuse) for name, fuse in fusions]
     ga_result = None
     if ga_config is not None:
         ga_result = ga_tune_weights(split.train, ga_config)
-        results.append(evaluate("weight", partial(fuse_weighted_matrix,
-                                                  ga_result.best_individual)))
+        results.append(evaluate_weighted(split, ga_result))
     return BaselineReport(tuple(results), ga_result)

@@ -13,13 +13,17 @@ One experiment takes a raw score dataset and
 
 The one user-facing seed deterministically derives independent seeds for
 the GA tuner and the GP engine, so partial method subsets do not shift each
-other's random streams.
+other's random streams.  Neither search reads the other's result, so when a
+run asks for both and the GA is large enough, a forked child tunes the
+weights while this process evolves the tree (:mod:`fusebench.twoproc`);
+every report row is evaluated in this process either way.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import tempfile
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatchcase
@@ -37,14 +41,16 @@ from .baselines import (
     MethodEvaluation,
     evaluate_baselines,
     evaluate_fused_method,
+    evaluate_weighted,
 )
-from . import gp
+from . import baselines, gp
 from .datasets import ScoreDataset, fuse_classes, split_dataset
 from .errors import UndefinedGainError, ValidationError, check_int
 from .gp import EvolutionConfig, EvolutionResult, evolve, history_to_csv
 from .metrics import gain, roc_to_csv
 from .normalization import fit_tanh_normalizer, normalizer_to_json
 from .trees import tree_to_sexpr
+from .twoproc import forks, in_two_processes
 
 FUSION_METHODS = (*FIXED_RULES, "weight", "gp")
 # the names of every file run_experiment can emit (see write_artifacts)
@@ -106,6 +112,16 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
 
     ``ga_config`` / ``gp_config`` override the preset-derived defaults when
     given (their seeds are then used verbatim).
+
+    When ``methods`` holds both ``weight`` and ``gp``, and the bytes the GA
+    fuses, ``population_size * (generations + 1)`` training matrices, pass
+    both :func:`fusebench.twoproc.forks` and the GA's own batch rule
+    (``baselines._GA_FORK_MIN_BYTES``), one forked child runs
+    ``baselines.ga_tune_weights`` while this process runs ``evolve``; the
+    child pickles its result, which keeps every float.  If the child fails,
+    this process tunes the weights itself once the GP is done, so a GA error
+    such as a ``ValidationError`` still reaches the caller, but only after
+    the GP has finished.  Any other run tunes the weights, then evolves.
     """
     methods = select_methods(methods)
     if ga_preset not in GA_PRESETS:
@@ -127,16 +143,24 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     normalized = split_dataset(normalizer.transform_dataset(ds))
     train, validation = normalized.train, normalized.validation
 
-    baseline = evaluate_baselines(
-        normalized,
-        ga_config=ga_config if "weight" in methods else None,
-        rules=tuple(m for m in methods if m in FIXED_RULES),
-    )
+    rules = tuple(m for m in methods if m in FIXED_RULES)
+    work = (ga_config.population_size * (ga_config.generations + 1) * train.scores.nbytes
+            if "weight" in methods and "gp" in methods else 0)
+    if forks(work) and work > baselines._GA_FORK_MIN_BYTES:
+        baseline = evaluate_baselines(normalized, rules=rules)
+        gp_result, ga_result = in_two_processes(
+            lambda: evolve(train, gp_config),
+            lambda spool: pickle.dump(baselines.ga_tune_weights(train, ga_config), spool),
+            pickle.load)
+        baseline = BaselineReport(
+            (*baseline.results, evaluate_weighted(normalized, ga_result)), ga_result)
+    else:
+        baseline = evaluate_baselines(
+            normalized, ga_config=ga_config if "weight" in methods else None, rules=rules)
+        gp_result = evolve(train, gp_config) if "gp" in methods else None
     rows = list(baseline.results)
 
-    gp_result = None
-    if "gp" in methods:
-        gp_result = evolve(train, gp_config)
+    if gp_result is not None:
         # read through gp, as gp.fitness does, so a wrapper of it sees this row too
         fuse = partial(gp.evaluate_matrix, gp_result.best_individual)
         rows.append(evaluate_fused_method(

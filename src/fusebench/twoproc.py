@@ -1,16 +1,18 @@
-"""One forked child does the second half of a job while this process does the first.
+"""One forked child does part of a job while this process does the rest.
 
-Parsing or formatting text and the GA's fusion loop hold the GIL, so on a
-process allowed at least two CPUs (``os.sched_getaffinity``) a caller may
-hand half of a large job to a forked child.  The child writes its half into
-an unnamed temporary file in ``TMPDIR``, which this process reads once the
-child has exited.  Only an input past ``_FORK_MIN_BYTES`` (1 MiB) forks: the
-fork, with the page copies it causes, costs about what converting half a
-megabyte of CSV text does.  On a 2-CPU Xeon, two processes loaded a 0.57 MB
-file no faster than one, and a 1.09 MB file in 0.71x the time.  If anything
-fails, no temporary file, no process to spare or a failed child, this
-process does that half itself, so the results and errors are always those
-of one process.
+Parsing or formatting text, fusing score columns and breeding a search's
+population hold the GIL, so on a process allowed at least two CPUs
+(``os.sched_getaffinity``) a caller may hand part of a large job to a
+forked child: the second half of a score file's rows, the second half of a
+GA generation's new chromosomes, or a whole GA search run beside the GP.
+The child writes its part into an unnamed temporary file in ``TMPDIR``,
+which this process reads once the child has exited.  Only an input past
+``_FORK_MIN_BYTES`` (1 MiB) forks: the fork, with the page copies it
+causes, costs about what converting half a megabyte of CSV text does.  On a
+2-CPU Xeon, two processes loaded a 0.57 MB file no faster than one, and a
+1.09 MB file in 0.71x the time.  If anything fails, no temporary file, no
+process to spare or a failed child, this process does that part itself, so
+the results and errors are always those of one process.
 """
 
 from __future__ import annotations
@@ -39,16 +41,19 @@ def in_two_processes(first, second, read) -> tuple:
     none of this process's cleanup runs twice, and this process reaps it
     before reading the file.  On any failure, no temporary file, no process
     to spare or a child status other than 0, this process runs ``second``
-    itself, into memory.  The temporary file is closed on every path.
+    itself, into memory.  If ``first`` raises, the child's work is of no
+    use: it is killed before it is reaped, so the error reaches the caller
+    without waiting for ``second`` to finish.  The temporary file is closed
+    on every path.
     """
     with contextlib.ExitStack() as stack:
         pid = None
         with contextlib.suppress(OSError), warnings.catch_warnings():
             # Python 3.12+ warns that a fork in a process with threads, such
             # as OpenBLAS's, may deadlock the child.  The child parses or
-            # formats text, or fuses and sorts score columns, with the
-            # interpreter and numpy's own loops: it calls no BLAS and starts
-            # no thread.
+            # formats text, or fuses and sorts score columns and breeds
+            # chromosomes, with the interpreter and numpy's own loops: it
+            # calls no BLAS and starts no thread.
             warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
                                     DeprecationWarning)
             spool = stack.enter_context(tempfile.TemporaryFile())
@@ -62,6 +67,12 @@ def in_two_processes(first, second, read) -> tuple:
                 os._exit(1)
         try:
             mine = first()
+        except BaseException:
+            if pid:
+                # imported here: signal's enum set-up adds 0.7 ms to importing fusebench
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            raise
         finally:
             status = os.waitpid(pid, 0)[1] if pid else 1
         if status != 0:

@@ -9,6 +9,7 @@ import os
 import pickle
 import signal
 import tempfile
+import time
 import tracemalloc
 import warnings
 from functools import partial
@@ -603,6 +604,19 @@ class TestTwoProcesses:
         self._load_and_save_as_one_process(
             tmp_path, make_gaussian(seed=10, modalities=3, genuine=12, impostor=15))
         assert forks == []
+
+    def test_an_error_here_kills_the_child(self, forks):
+        """The child's work is discarded when ``first`` raises, so the error
+        does not wait for ``second`` to finish."""
+        def failing():
+            raise RuntimeError("fails here")
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="fails here"):
+            twoproc.in_two_processes(failing, lambda spool: time.sleep(60), pickle.load)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+        assert len(forks) == 1
 
 
 class TestSplit:

@@ -1,13 +1,17 @@
 """Experiment pipeline report/artifacts and the command-line interface."""
 
+import errno
 import json
 import math
 import os
+import signal
 from functools import partial
 
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, outcome
+from fusebench import baselines
 from fusebench.baselines import GaConfig
 from fusebench.cli import main
 from fusebench.datasets import SyntheticSpec, load_dataset
@@ -23,6 +27,8 @@ from fusebench.experiment import (
 from fusebench.gp import EvolutionConfig
 from fusebench.metrics import gain, sweep_roc
 from fusebench.trees import parse_sexpr
+from test_baselines import tiny_ga_config
+from test_golden import banca_shaped_dataset
 
 
 def small_components():
@@ -198,6 +204,80 @@ class TestRunExperiment:
         replayed = sweep_roc(fuse_classes(partial(evaluate_matrix, tree), validation))
         assert replayed.eer == result.report["results"]["gp"]["validation_eer"]
 
+
+class TestSearchesInTwoProcesses:
+    """With both searches and a GA past its batch rule, a forked child tunes
+    the weights while this process evolves the tree; the artifacts and
+    errors are those of one process."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return banca_shaped_dataset()
+
+    @staticmethod
+    def artifacts(ds, **kwargs):
+        return run_experiment(ds, gp_generations=1, **kwargs).artifacts
+
+    @pytest.fixture(scope="class")
+    def one_process(self, ds):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            return self.artifacts(ds)
+
+    def test_gives_the_one_process_artifacts(self, ds, one_process, forks):
+        assert self.artifacts(ds) == one_process
+        assert_no_child_left()
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("methods, ga_config", [
+        (("weight",), None),
+        (("gp",), None),
+        (FUSION_METHODS, tiny_ga_config()),
+    ], ids=["weight", "gp", "tiny GA"])
+    def test_forks_only_for_both_searches_past_the_rule(self, ds, forks, methods,
+                                                        ga_config):
+        run_experiment(ds, methods=methods, gp_generations=1, ga_config=ga_config)
+        assert_no_child_left()
+        assert forks == []
+
+    def test_no_process_to_spare(self, ds, one_process, monkeypatch, forks):
+        calls = []
+
+        def no_fork():
+            calls.append(None)
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.artifacts(ds) == one_process
+        assert_no_child_left()
+        assert len(calls) == 1
+
+    def test_a_child_that_dies(self, ds, one_process, monkeypatch, forks):
+        parent, tune = os.getpid(), baselines.ga_tune_weights
+
+        def dying_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return tune(*args)
+
+        monkeypatch.setattr(baselines, "ga_tune_weights", dying_in_the_child)
+        assert self.artifacts(ds) == one_process
+        assert_no_child_left()
+        assert len(forks) == 1
+
+    def test_a_ga_error_is_the_one_process_error(self, ds, monkeypatch, forks):
+        def failing(train, cfg):
+            raise ValidationError(f"GA fails on {train.genuine_count} genuine rows")
+
+        monkeypatch.setattr(baselines, "ga_tune_weights", failing)
+        two = outcome(self.artifacts, ds)
+        assert_no_child_left()
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert outcome(self.artifacts, ds) == two == (
+            None, (ValidationError, "GA fails on 234 genuine rows"))
+        assert_no_child_left()
+        assert len(forks) == 1
 
 class TestWriteArtifacts:
     def test_writes_exactly_the_catalog(self, tmp_path):
