@@ -50,6 +50,8 @@ FIXED_RULES = {"sum": np.sum, "min": np.min, "mul": np.prod}
 # bssr1 shape (4 MiB) the fork and the child's first touch of its pages
 # cost about 8 fitness calls: on a 2-CPU Xeon two processes lost every
 # batch of 10 or fewer, broke even at 14 and won from 16, 8 in the child.
+# The share's bytes decide at any matrix size: at banca shape (17 KB), GA
+# 5000 x 10, whose generation 0 splits, took 0.94x the time in two processes.
 _GA_FORK_MIN_BYTES = 28 << 20
 
 
@@ -216,9 +218,9 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     Rank selection mostly copies a parent verbatim, so fitness is memoized
     by chromosome over a window of the previous generation and this one's
     children, which are scored as one batch; :func:`_weighted_eer`, looked
-    up at call time, runs once per chromosome new to that window.  Past the
-    size rule of :mod:`fusebench.twoproc`, and once the child's share fuses
-    more than ``_GA_FORK_MIN_BYTES``, a forked child runs it on the second
+    up at call time, runs once per chromosome new to that window.  Once the
+    child's share fuses more than ``_GA_FORK_MIN_BYTES``, and if
+    :func:`fusebench.twoproc.forks`, a forked child runs it on the second
     half of those new chromosomes while this process runs it on the first;
     this process's memo takes every result, in slot order, and after any
     failure of the child this process scores that half itself.  An equal
@@ -248,7 +250,7 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
     def score(chromosomes):
         new = list(dict.fromkeys(w for w in chromosomes if w not in known))
         half = (len(new) + 1) // 2
-        if forks(scores.nbytes) and (len(new) - half) * scores.nbytes > _GA_FORK_MIN_BYTES:
+        if (len(new) - half) * scores.nbytes > _GA_FORK_MIN_BYTES and forks():
             mine, theirs = in_two_processes(
                 lambda: sweep(new[:half]),
                 lambda spool: pickle.dump(sweep(new[half:]), spool), pickle.load)

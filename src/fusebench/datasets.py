@@ -18,17 +18,22 @@ line-aligned blocks of about 1 MiB, read with ``os.pread``, and keeps only
 their float64 rows; no process holds the file's bytes whole.  The reference
 rereads a declined file from the start of the same handle.
 
-Past 1 MiB of input, a score file's or a score matrix's, one forked child
-converts the second half of the rows while this process converts the first,
-through :mod:`fusebench.twoproc`, with its failure rule.  The numpy reader
-cuts the file at the first line end past the middle and reads each part
-alike, skipping the header in the first only; if either declines, the whole
-file goes to the reference.  The child pickles its rows into the seam's
-temporary file.  :func:`save_dataset` writes the child's text for rows
-``[n // 2, n)`` after its own, copied from that file in chunks.  A save
-compares the size rule with its matrix's bytes, about a third of its text's,
-where formatting, slower than parsing, pays sooner.  So a ``banca``-shape
-file (94 KB) never forks.
+Past ``_FORK_MIN_BYTES`` (1 MiB) of input, a score file's or a score
+matrix's, and if :func:`fusebench.twoproc.forks`, one forked child converts
+the second half of the rows while this process converts the first, with the
+seam's failure rule.  The fork and its page copies cost about what
+converting half a megabyte of CSV does: on a 2-CPU Xeon two processes
+loaded a 0.57 MB file no faster than one, and a 1.09 MB file in 0.71x the
+time.  A load splits only where ``os.pread`` exists, as a seek would move
+the offset the child shares.  The numpy reader cuts the file at the first
+line end past the middle and reads each part alike, skipping the header in
+the first only; if either declines, the whole file goes to the reference.
+The child pickles its rows into the seam's temporary file.
+:func:`save_dataset` writes the child's text for rows ``[n // 2, n)`` after
+its own, copied from that file in chunks.  A save compares the size rule
+with its matrix's bytes, about a third of its text's, where formatting,
+slower than parsing, pays sooner.  So a ``banca``-shape file (94 KB) never
+forks.
 
 Datasets are immutable once constructed and keep rows in ingestion order,
 which the half/half splitting protocol relies on.  Each stores one stacked
@@ -249,13 +254,14 @@ def _parse_canonical(block: bytes, first: bool, modality_count: int):
 
 
 _READ_BLOCK_BYTES = 1 << 20  # bytes per read; bounds the text held at once
+_FORK_MIN_BYTES = 1 << 20  # a load or save splits past this (module docstring)
 
 
 def _read_at(handle, at: int, size: int) -> bytes:
     """Up to ``size`` bytes from ``at``, leaving the offset a child shares alone."""
     if hasattr(os, "pread"):
         return os.pread(handle.fileno(), size, at)
-    handle.seek(at)  # no os.pread, and so no fork
+    handle.seek(at)  # no os.pread, and so no fork (_load_canonical)
     return handle.read(size)
 
 
@@ -294,7 +300,8 @@ def _load_canonical(handle, modality_count: int):
     raises a data error, so every message comes from the reference.
     """
     size = cut = os.fstat(handle.fileno()).st_size
-    if forks(size):  # cut past the first LF from the middle, if the line is short
+    # cut past the first LF from the middle, if the line is short
+    if size > _FORK_MIN_BYTES and hasattr(os, "pread") and forks():
         handle.seek(size // 2)
         short = handle.readline(csv.field_size_limit()).endswith(b"\n")
         cut = handle.tell() if short else size
@@ -406,11 +413,11 @@ def dataset_to_csv(ds: ScoreDataset) -> str:
 
 def save_dataset(ds: ScoreDataset, path) -> None:
     """Write :func:`dataset_to_csv`'s text one row block at a time; past
-    1 MiB of scores, a forked child formats the second half of the rows,
-    which follows this process's half."""
+    ``_FORK_MIN_BYTES`` of scores, a forked child formats the second half of
+    the rows, which follows this process's half."""
     n = ds.scores.shape[0]
     with open(path, "wb") as handle:
-        if not forks(ds.scores.nbytes):
+        if not (ds.scores.nbytes > _FORK_MIN_BYTES and forks()):
             handle.writelines(_csv_blocks(ds, 0, n))
             return
         in_two_processes(lambda: handle.writelines(_csv_blocks(ds, 0, n // 2)),

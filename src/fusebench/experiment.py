@@ -14,7 +14,7 @@ One experiment takes a raw score dataset and
 The one user-facing seed deterministically derives independent seeds for
 the GA tuner and the GP engine, so partial method subsets do not shift each
 other's random streams.  Neither search reads the other's result, so when a
-run asks for both and the GA is large enough, a forked child tunes the
+run asks for both on a process that can split, a forked child tunes the
 weights while this process evolves the tree (:mod:`fusebench.twoproc`);
 every report row is evaluated in this process either way.
 """
@@ -113,15 +113,13 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     ``ga_config`` / ``gp_config`` override the preset-derived defaults when
     given (their seeds are then used verbatim).
 
-    When ``methods`` holds both ``weight`` and ``gp``, and the bytes the GA
-    fuses, ``population_size * (generations + 1)`` training matrices, pass
-    both :func:`fusebench.twoproc.forks` and the GA's own batch rule
-    (``baselines._GA_FORK_MIN_BYTES``), one forked child runs
-    ``baselines.ga_tune_weights`` while this process runs ``evolve``; the
-    child pickles its result, which keeps every float.  If the child fails,
-    this process tunes the weights itself once the GP is done, so a GA error
-    such as a ``ValidationError`` still reaches the caller, but only after
-    the GP has finished.  Any other run tunes the weights, then evolves.
+    When ``methods`` holds both ``weight`` and ``gp`` and
+    :func:`fusebench.twoproc.forks` is true, one forked child runs
+    ``baselines.ga_tune_weights`` while this process runs ``evolve``,
+    whatever the GA's size; the child pickles its result, which keeps every
+    float.  If the child fails, this process tunes the weights itself once
+    the GP is done, so a GA error such as a ``ValidationError`` still
+    reaches the caller, but only after the GP has finished.  Any other run tunes the weights, then evolves.
     """
     methods = select_methods(methods)
     if ga_preset not in GA_PRESETS:
@@ -144,9 +142,7 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     train, validation = normalized.train, normalized.validation
 
     rules = tuple(m for m in methods if m in FIXED_RULES)
-    work = (ga_config.population_size * (ga_config.generations + 1) * train.scores.nbytes
-            if "weight" in methods and "gp" in methods else 0)
-    if forks(work) and work > baselines._GA_FORK_MIN_BYTES:
+    if "weight" in methods and "gp" in methods and forks():
         baseline = evaluate_baselines(normalized, rules=rules)
         gp_result, ga_result = in_two_processes(
             lambda: evolve(train, gp_config),

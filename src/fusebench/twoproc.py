@@ -1,18 +1,14 @@
 """One forked child does part of a job while this process does the rest.
 
-Parsing or formatting text, fusing score columns and breeding a search's
-population hold the GIL, so on a process allowed at least two CPUs
-(``os.sched_getaffinity``) a caller may hand part of a large job to a
-forked child: the second half of a score file's rows, the second half of a
-GA generation's new chromosomes, or a whole GA search run beside the GP.
-The child writes its part into an unnamed temporary file in ``TMPDIR``,
-which this process reads once the child has exited.  Only an input past
-``_FORK_MIN_BYTES`` (1 MiB) forks: the fork, with the page copies it
-causes, costs about what converting half a megabyte of CSV text does.  On a
-2-CPU Xeon, two processes loaded a 0.57 MB file no faster than one, and a
-1.09 MB file in 0.71x the time.  If anything fails, no temporary file, no
-process to spare or a failed child, this process does that part itself, so
-the results and errors are always those of one process.
+Work in the interpreter holds the GIL, so a process allowed at least two
+CPUs (``os.sched_getaffinity``) may hand part of a job to a forked child.
+:func:`forks` says only whether this process can split a job; each caller
+decides, next to its own measurement, when a job is worth a child.  The
+child writes its part into an unnamed temporary file in ``TMPDIR``, which
+this process reads once the child has exited.  If anything fails, no
+temporary file, no process to spare or a failed child, this process does
+that part itself, so the results and errors are always those of one
+process.
 """
 
 from __future__ import annotations
@@ -23,13 +19,12 @@ import os
 import tempfile
 import warnings
 
-_FORK_MIN_BYTES = 1 << 20
 
-
-def forks(size: int) -> bool:
-    """Whether an input of ``size`` bytes is split between two processes."""
-    return (size > _FORK_MIN_BYTES and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+def forks() -> bool:
+    """Whether this process can split a job: it can fork, and it may run on
+    at least two CPUs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def in_two_processes(first, second, read) -> tuple:
@@ -50,9 +45,8 @@ def in_two_processes(first, second, read) -> tuple:
         pid = None
         with contextlib.suppress(OSError), warnings.catch_warnings():
             # Python 3.12+ warns that a fork in a process with threads, such
-            # as OpenBLAS's, may deadlock the child.  The child parses or
-            # formats text, or fuses and sorts score columns and breeds
-            # chromosomes, with the interpreter and numpy's own loops: it
+            # as OpenBLAS's, may deadlock the child.  Every caller's
+            # ``second`` runs the interpreter and numpy's own loops: it
             # calls no BLAS and starts no thread.
             warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
                                     DeprecationWarning)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from fusebench import baselines, twoproc
+from fusebench import baselines, datasets
 from fusebench.datasets import ScoreDataset, SyntheticSpec, generate_synthetic
 from fusebench.errors import FusebenchError
 from fusebench.trees import ColumnCache
@@ -102,5 +102,5 @@ def forks(monkeypatch):
 def any_size(monkeypatch):
     """Split every load, save and GA batch between two processes, however
     small."""
-    monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
     monkeypatch.setattr(baselines, "_GA_FORK_MIN_BYTES", 0)

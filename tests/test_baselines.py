@@ -12,7 +12,6 @@ import pytest
 
 import fusebench.baselines as baselines
 from conftest import assert_no_child_left
-from fusebench import twoproc
 from fusebench.baselines import (
     FIXED_RULES,
     GA_PRESETS,
@@ -459,7 +458,7 @@ class TestGaFitnessMemo:
 
 
 class TestGaTwoProcesses:
-    """Past both size rules a forked child scores the second half of each
+    """Past the share rule a forked child scores the second half of each
     generation's new chromosomes; the result is the one-process result, and
     on any failure this process scores that half itself."""
 
@@ -488,10 +487,22 @@ class TestGaTwoProcesses:
         run_experiment(banca_shaped_dataset(), methods=("weight",))
         assert forks == []
 
-    def test_a_share_under_the_break_even_is_scored_here(self, train, monkeypatch, forks):
-        monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+    def test_a_share_under_the_break_even_is_scored_here(self, train, forks):
         ga_tune_weights(train, self.CONFIG)
         assert forks == []
+
+    def test_a_share_past_the_break_even_splits_at_any_matrix_size(self, train,
+                                                                   monkeypatch, forks):
+        # generation 0's share: 2,000 chromosomes of a 17 KB matrix, 35 MB
+        cfg = GaConfig(seed=5, population_size=4000, generations=1)
+        assert cfg.population_size // 2 * train.scores.nbytes > baselines._GA_FORK_MIN_BYTES
+        result = ga_tune_weights(train, cfg)
+        assert_no_child_left()
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_process = ga_tune_weights(train, cfg)
+        assert len(forks) == 1
+        assert repr(result) == repr(one_process)  # every float's bits
 
     def test_no_process_to_spare(self, train, one_process, monkeypatch, forks, any_size):
         calls = []

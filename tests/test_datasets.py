@@ -389,7 +389,7 @@ class TestBlocks:
         assert (whole is None) == (name in self.DECLINED)
         monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
         if two_processes:
-            monkeypatch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+            monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         self._check(path, 2, whole)
 
@@ -452,18 +452,63 @@ class TestLoadMemory:
 
 
 class TestTwoProcesses:
-    """Past the seam's size rule a forked child converts the second half of
+    """Past ``_FORK_MIN_BYTES`` a forked child converts the second half of
     the rows; the bits, bytes and errors stay those of one process."""
 
     HEADER = "face,voice,iris,label\n"
 
-    def test_only_inputs_past_the_constant_fork_and_only_on_two_cpus(self, monkeypatch):
-        size = twoproc._FORK_MIN_BYTES
+    def test_a_process_splits_only_with_os_fork_and_two_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert not twoproc.forks(size)
-        assert twoproc.forks(size + 1) == hasattr(os, "fork")
+        assert twoproc.forks() == hasattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not twoproc.forks(size + 1)
+        assert not twoproc.forks()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert not twoproc.forks()
+
+    def test_only_a_file_past_the_constant_splits(self, tmp_path, make_gaussian, forks):
+        size = datasets._FORK_MIN_BYTES
+        text = dataset_to_csv(make_gaussian(seed=11, modalities=3, genuine=8000,
+                                            impostor=12000))
+        text = text[:text.rindex("\n", 0, size - 1) + 1]  # whole rows, both classes
+        assert text.endswith("impostor\n")
+        for padding, two_processes in ((size - len(text), False),
+                                       (size + 1 - len(text), True)):
+            path = write(tmp_path, text + "\n" * padding)
+            want = np.concatenate(read_reference(path, 3))
+            loaded = load_dataset(path, 3)
+            assert_no_child_left()
+            assert len(forks) == two_processes
+            assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
+            forks.clear()
+
+    def test_only_a_matrix_past_the_constant_splits(self, tmp_path, make_gaussian, forks):
+        rows = datasets._FORK_MIN_BYTES // (4 * 8)  # four float64 scores per row
+        for genuine, two_processes in ((rows // 2, False), (rows // 2 + 1, True)):
+            ds = make_gaussian(seed=12, modalities=4, genuine=genuine, impostor=rows // 2)
+            assert (ds.scores.nbytes > datasets._FORK_MIN_BYTES) == two_processes
+            path = save_to(tmp_path, ds)
+            assert_no_child_left()
+            assert len(forks) == two_processes
+            assert path.read_bytes() == dataset_to_csv(ds).encode()
+            forks.clear()
+
+    @pytest.mark.parametrize("block", [1 << 20, 7])
+    def test_without_pread_a_load_reads_in_one_process(self, tmp_path, make_gaussian,
+                                                       monkeypatch, forks, any_size, block):
+        """Without ``os.pread``, ``_read_at`` seeks and reads the descriptor,
+        whose offset a child would share: a load does not split, and the
+        numpy reader's seek-and-read blocks give the reference's bits."""
+        path = write(tmp_path, self.HEADER + dataset_to_csv(
+            make_gaussian(seed=13, modalities=3, genuine=11, impostor=20)))
+        want, genuine_count = self._reference(path)
+        monkeypatch.delattr(os, "pread", raising=False)
+        monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(datasets, "_load_reference", None)  # numpy reads every block
+        ds = load_dataset(path, 3)
+        assert forks == []
+        assert np.array_equal(ds.scores.view(np.int64), want.view(np.int64))
+        assert ds.genuine_count == genuine_count
 
     def test_a_banca_shape_file_never_forks(self, tmp_path, forks):
         ds = generate_synthetic(SyntheticSpec(4, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4,

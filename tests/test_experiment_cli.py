@@ -206,9 +206,9 @@ class TestRunExperiment:
 
 
 class TestSearchesInTwoProcesses:
-    """With both searches and a GA past its batch rule, a forked child tunes
-    the weights while this process evolves the tree; the artifacts and
-    errors are those of one process."""
+    """With both searches, on a process that can split, a forked child tunes
+    the weights while this process evolves the tree, whatever the GA's size;
+    the artifacts and errors are those of one process."""
 
     @pytest.fixture(scope="class")
     def ds(self):
@@ -229,16 +229,19 @@ class TestSearchesInTwoProcesses:
         assert_no_child_left()
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("methods, ga_config", [
-        (("weight",), None),
-        (("gp",), None),
-        (FUSION_METHODS, tiny_ga_config()),
-    ], ids=["weight", "gp", "tiny GA"])
-    def test_forks_only_for_both_searches_past_the_rule(self, ds, forks, methods,
-                                                        ga_config):
-        run_experiment(ds, methods=methods, gp_generations=1, ga_config=ga_config)
+    @pytest.mark.parametrize("methods", [("weight",), ("gp",)], ids=["weight", "gp"])
+    def test_forks_only_for_both_searches(self, ds, forks, methods):
+        run_experiment(ds, methods=methods, gp_generations=1)
         assert_no_child_left()
         assert forks == []
+
+    def test_a_tiny_ga_forks_too(self, ds, monkeypatch, forks):
+        two = self.artifacts(ds, ga_config=tiny_ga_config())
+        assert_no_child_left()
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.artifacts(ds, ga_config=tiny_ga_config()) == two
+        assert len(forks) == 1
 
     def test_no_process_to_spare(self, ds, one_process, monkeypatch, forks):
         calls = []

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import outcome
-from fusebench import datasets, twoproc
+from fusebench import datasets
 from fusebench.datasets import (
     ScoreDataset,
     _load_canonical,
@@ -202,7 +202,7 @@ def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, block, two_pro
         if block is not None:
             patch.setattr(datasets, "_READ_BLOCK_BYTES", block)
         if two_processes:
-            patch.setattr(twoproc, "_FORK_MIN_BYTES", 0)
+            patch.setattr(datasets, "_FORK_MIN_BYTES", 0)
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with open(fuzz_csv, "rb") as handle:
             fast = _load_canonical(handle, modalities)
