@@ -119,7 +119,8 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
     whatever the GA's size; the child pickles its result, which keeps every
     float.  If the child fails, this process tunes the weights itself once
     the GP is done, so a GA error such as a ``ValidationError`` still
-    reaches the caller, but only after the GP has finished.  Any other run tunes the weights, then evolves.
+    reaches the caller, but only after the GP has finished.  Any other run
+    tunes the weights, then evolves.
     """
     methods = select_methods(methods)
     if ga_preset not in GA_PRESETS:

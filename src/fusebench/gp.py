@@ -395,7 +395,7 @@ def evolve(train: ScoreDataset, cfg: EvolutionConfig) -> EvolutionResult:
     Each call is ``fitness(tree, train, cache=cache)``, with the run's one
     :class:`~fusebench.trees.ColumnCache` of ``train.scores``, which keeps up
     to ``trees.CACHE_COLUMNS`` subtree columns.  Every batch is scored in
-    this process, as a forked child would lose the cache entries it fills.
+    this process: no split of the GP's batches has been built or measured.
     """
     check_score_spread(train)
     terminals = terminal_set(train.modality_count, cfg.n_constants)

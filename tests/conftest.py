@@ -78,13 +78,19 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test, on a process that
-    may run on two CPUs whatever the host allows."""
+# Tests apply these to ``monkeypatch``, or to ``MonkeyPatch.context()`` in a
+# hypothesis test, which takes no function-scoped fixture.
+def use_one_cpu(patch):
+    """Tell this process it may run on one CPU only, so it splits no job."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def count_forks(patch) -> list:
+    """Tell this process it may run on two CPUs, whatever the host allows,
+    and return the pids of the children it forks from here on."""
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids = []
     fork = os.fork
 
@@ -94,13 +100,23 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(os, "fork", counted_fork)
+    patch.setattr(os, "fork", counted_fork)
     return pids
+
+
+def split_any_size(patch):
+    """Split every load, save and GA batch between two processes, however
+    small."""
+    patch.setattr(datasets, "_FORK_MIN_BYTES", 0)
+    patch.setattr(baselines, "_GA_FORK_MIN_BYTES", 0)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test (:func:`count_forks`)."""
+    return count_forks(monkeypatch)
 
 
 @pytest.fixture
 def any_size(monkeypatch):
-    """Split every load, save and GA batch between two processes, however
-    small."""
-    monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
-    monkeypatch.setattr(baselines, "_GA_FORK_MIN_BYTES", 0)
+    split_any_size(monkeypatch)

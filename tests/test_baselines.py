@@ -1,17 +1,13 @@
 """Fixed fusion rules, weighted sums, GA weight tuning, baseline protocol."""
 
-import errno
 import os
-import pickle
-import signal
-import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
 
 import fusebench.baselines as baselines
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, use_one_cpu
 from fusebench.baselines import (
     FIXED_RULES,
     GA_PRESETS,
@@ -458,30 +454,15 @@ class TestGaFitnessMemo:
 
 
 class TestGaTwoProcesses:
-    """Past the share rule a forked child scores the second half of each
-    generation's new chromosomes; the result is the one-process result, and
-    on any failure this process scores that half itself."""
+    """Only past the share rule does a forked child score the second half of
+    a generation's new chromosomes.  That two processes give one process's
+    result is ``test_twoproc``'s to check."""
 
     CONFIG = GaConfig(seed=5, **GA_PRESETS["desk"])
 
     @pytest.fixture(scope="class")
     def train(self):
         return normalized_split(banca_shaped_dataset()).train
-
-    @pytest.fixture(scope="class")
-    def one_process(self, train):
-        # class scope: computed before any test's patches
-        return ga_tune_weights(train, self.CONFIG)
-
-    def assert_one_process_result(self, train, one_process):
-        result = ga_tune_weights(train, self.CONFIG)
-        assert_no_child_left()
-        assert result == one_process
-        assert repr(result) == repr(one_process)  # every float's bits
-
-    def test_gives_the_one_process_result(self, train, one_process, forks, any_size):
-        self.assert_one_process_result(train, one_process)
-        assert len(forks) > 0
 
     def test_a_banca_shape_run_never_forks(self, forks):
         run_experiment(banca_shaped_dataset(), methods=("weight",))
@@ -499,55 +480,10 @@ class TestGaTwoProcesses:
         result = ga_tune_weights(train, cfg)
         assert_no_child_left()
         assert len(forks) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        use_one_cpu(monkeypatch)
         one_process = ga_tune_weights(train, cfg)
         assert len(forks) == 1
         assert repr(result) == repr(one_process)  # every float's bits
-
-    def test_no_process_to_spare(self, train, one_process, monkeypatch, forks, any_size):
-        calls = []
-
-        def no_fork():
-            calls.append(None)
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        self.assert_one_process_result(train, one_process)
-        assert len(calls) > 0
-
-    def test_no_temporary_file(self, train, one_process, tmp_path, monkeypatch, forks,
-                               any_size):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        self.assert_one_process_result(train, one_process)
-        assert forks == []
-
-    def test_a_failed_child(self, train, one_process, monkeypatch, forks, any_size):
-        parent, fresh = os.getpid(), baselines._weighted_eer
-
-        def failing_in_the_child(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("child fails")
-            return fresh(*args)
-
-        monkeypatch.setattr(baselines, "_weighted_eer", failing_in_the_child)
-        self.assert_one_process_result(train, one_process)
-        assert len(forks) > 0
-
-    def test_a_child_killed_partway(self, train, one_process, monkeypatch, forks,
-                                    any_size):
-        parent, dump = os.getpid(), pickle.dump
-
-        def dump_part_then_die(obj, file):
-            if os.getpid() == parent:
-                return dump(obj, file)
-            payload = pickle.dumps(obj)
-            file.write(payload[:len(payload) // 2])
-            file.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(pickle, "dump", dump_part_then_die)
-        self.assert_one_process_result(train, one_process)
-        assert len(forks) > 0
 
     def test_an_error_in_both_processes_is_this_processs(self, train, monkeypatch,
                                                           forks, any_size):

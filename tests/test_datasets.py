@@ -2,14 +2,9 @@
 
 import builtins
 import csv
-import errno
 import io
 import math
 import os
-import pickle
-import signal
-import tempfile
-import time
 import tracemalloc
 import warnings
 from functools import partial
@@ -19,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, outcome
-from fusebench import datasets, twoproc
+from conftest import assert_no_child_left, count_forks, outcome, split_any_size, use_one_cpu
+from fusebench import datasets
 from fusebench.baselines import FIXED_RULES, fuse_rule_matrix, fuse_weighted_matrix
 from fusebench.datasets import (
     ScoreDataset,
@@ -389,8 +384,8 @@ class TestBlocks:
         assert (whole is None) == (name in self.DECLINED)
         monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
         if two_processes:
-            monkeypatch.setattr(datasets, "_FORK_MIN_BYTES", 0)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            count_forks(monkeypatch)
+            split_any_size(monkeypatch)
         self._check(path, 2, whole)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
@@ -407,17 +402,6 @@ class TestBlocks:
                 load_dataset(path, 2)
         finally:
             csv.field_size_limit(limit)
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_a_non_canonical_byte_in_the_childs_last_block_declines(self, tmp_path,
-                                                                    make_gaussian, monkeypatch,
-                                                                    forks, any_size, block):
-        ds = make_gaussian(seed=3, modalities=3, genuine=9, impostor=14)
-        path = write(tmp_path, dataset_to_csv(ds) + "0.5,0.5,0.5,impostor\r")
-        monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
-        self._check(path, 3, None)
-        assert len(forks) == 2  # read_canonical's, then load_dataset's
-        assert load_dataset(path, 3).impostor_count == 15
 
 
 class TestLoadMemory:
@@ -438,7 +422,7 @@ class TestLoadMemory:
         bound = 2 * ds.scores.nbytes + 4 * datasets._READ_BLOCK_BYTES
         assert bound < path.stat().st_size
         if not two_processes:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            use_one_cpu(monkeypatch)
         tracemalloc.start()
         try:
             loaded = load_dataset(path, 4)
@@ -452,19 +436,11 @@ class TestLoadMemory:
 
 
 class TestTwoProcesses:
-    """Past ``_FORK_MIN_BYTES`` a forked child converts the second half of
-    the rows; the bits, bytes and errors stay those of one process."""
+    """Only past ``_FORK_MIN_BYTES``, and only where ``os.pread`` exists, does
+    a forked child convert the second half of the rows.  That two processes
+    give one process's bits, bytes and errors is ``test_twoproc``'s to check."""
 
     HEADER = "face,voice,iris,label\n"
-
-    def test_a_process_splits_only_with_os_fork_and_two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert twoproc.forks() == hasattr(os, "fork")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert not twoproc.forks()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.delattr(os, "fork", raising=False)
-        assert not twoproc.forks()
 
     def test_only_a_file_past_the_constant_splits(self, tmp_path, make_gaussian, forks):
         size = datasets._FORK_MIN_BYTES
@@ -501,14 +477,15 @@ class TestTwoProcesses:
         numpy reader's seek-and-read blocks give the reference's bits."""
         path = write(tmp_path, self.HEADER + dataset_to_csv(
             make_gaussian(seed=13, modalities=3, genuine=11, impostor=20)))
-        want, genuine_count = self._reference(path)
+        genuine, impostor = read_reference(path, 3)
         monkeypatch.delattr(os, "pread", raising=False)
         monkeypatch.setattr(datasets, "_READ_BLOCK_BYTES", block)
         monkeypatch.setattr(datasets, "_load_reference", None)  # numpy reads every block
         ds = load_dataset(path, 3)
         assert forks == []
+        want = np.concatenate([genuine, impostor])
         assert np.array_equal(ds.scores.view(np.int64), want.view(np.int64))
-        assert ds.genuine_count == genuine_count
+        assert ds.genuine_count == genuine.shape[0]
 
     def test_a_banca_shape_file_never_forks(self, tmp_path, forks):
         ds = generate_synthetic(SyntheticSpec(4, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4,
@@ -516,152 +493,6 @@ class TestTwoProcesses:
         path = save_to(tmp_path, ds)
         assert np.array_equal(load_dataset(path, 4).scores, ds.scores)
         assert forks == []
-
-    def _reference(self, path, negate=()):
-        genuine, impostor = read_reference(path, 3)
-        genuine[:, list(negate)] *= -1.0
-        impostor[:, list(negate)] *= -1.0
-        return np.concatenate([genuine, impostor]), genuine.shape[0]
-
-    @pytest.mark.parametrize("layout", ["blank lines between rows", "blank second half",
-                                        "blank first half"])
-    def test_load_gives_the_reference_bits(self, tmp_path, make_gaussian, monkeypatch,
-                                           forks, any_size, layout):
-        text = dataset_to_csv(make_gaussian(seed=2, modalities=3, genuine=11, impostor=20))
-        if layout == "blank lines between rows":
-            text = text.replace("genuine\n", "genuine\n\n")
-        elif layout == "blank second half":
-            text += "\n" * 2 * len(text)
-        else:
-            text = "\n" * 2 * len(text) + text
-        path = write(tmp_path, self.HEADER + text)
-        want, genuine_count = self._reference(path, (0, 2))
-        monkeypatch.setattr(datasets, "_load_reference", None)  # numpy reads both halves
-        ds = load_dataset(path, 3, negate_modalities=(0, 2))
-        assert_no_child_left()
-        assert len(forks) == 1
-        assert np.array_equal(ds.scores.view(np.int64), want.view(np.int64))
-        assert ds.genuine_count == genuine_count
-
-    @pytest.mark.parametrize("genuine, impostor", [(3, 10), (10, 3), (7, 7), (1, 1)])
-    def test_save_writes_dataset_to_csv_bytes(self, tmp_path, make_gaussian, forks,
-                                              any_size, genuine, impostor):
-        # the label boundary falls in the first half, the second, or between them
-        ds = make_gaussian(seed=4, modalities=3, genuine=genuine, impostor=impostor)
-        path = tmp_path / "saved.csv"
-        save_dataset(ds, path)
-        assert_no_child_left()
-        assert len(forks) == 1
-        assert path.read_bytes() == dataset_to_csv(ds).encode() == naive_dataset_to_csv(
-            ds).encode()
-
-    def test_a_malformed_row_in_the_second_half_names_its_line(self, tmp_path,
-                                                               make_gaussian, forks,
-                                                               any_size):
-        lines = dataset_to_csv(make_gaussian(seed=6, modalities=3, genuine=9,
-                                             impostor=9)).splitlines(keepends=True)
-        lines[14] = lines[14].replace("impostor", "client")
-        path = write(tmp_path, self.HEADER + "".join(lines))
-        with pytest.raises(ScoreFileError) as reference:
-            read_reference(path, 3)
-        with pytest.raises(ScoreFileError) as loaded:
-            load_dataset(path, 3)
-        assert_no_child_left()
-        assert len(forks) == 1
-        assert loaded.value.line_no == reference.value.line_no == 16
-        assert str(loaded.value) == str(reference.value)
-
-    def _load_and_save_as_one_process(self, tmp_path, ds):
-        """Load and save ``ds`` past the constant: the reference's bits, the
-        one-process writer's bytes, and no child left unreaped."""
-        path = write(tmp_path, self.HEADER + dataset_to_csv(ds))
-        want, _ = self._reference(path)
-        loaded = load_dataset(path, 3)
-        assert_no_child_left()
-        assert np.array_equal(loaded.scores.view(np.int64), want.view(np.int64))
-        saved = tmp_path / "saved.csv"
-        save_dataset(ds, saved)
-        assert_no_child_left()
-        assert saved.read_bytes() == dataset_to_csv(ds).encode()
-
-    def test_a_failed_child_changes_nothing(self, tmp_path, make_gaussian, monkeypatch,
-                                            forks, any_size):
-        parent = os.getpid()
-
-        def failing_in_the_child(fn):
-            def call(*args):
-                if os.getpid() != parent:
-                    raise RuntimeError("child fails")
-                return fn(*args)
-            return call
-
-        for name in ("_parse_canonical", "_csv_blocks"):
-            monkeypatch.setattr(datasets, name, failing_in_the_child(getattr(datasets, name)))
-        self._load_and_save_as_one_process(
-            tmp_path, make_gaussian(seed=7, modalities=3, genuine=12, impostor=15))
-        assert len(forks) == 2
-
-    def test_a_child_that_dies_partway_changes_nothing(self, tmp_path, make_gaussian,
-                                                       monkeypatch, forks, any_size):
-        """The child's half reaches its file in part, then the child dies: by
-        a signal on a load, by an error on a save.  The part is never read."""
-        parent = os.getpid()
-        dump, blocks = pickle.dump, datasets._csv_blocks
-
-        def dump_part_then_die(obj, file):
-            if os.getpid() == parent:
-                return dump(obj, file)
-            payload = pickle.dumps(obj)
-            file.write(payload[:len(payload) // 2])
-            file.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        def first_block_then_fail(*args):
-            for count, block in enumerate(blocks(*args)):
-                if count and os.getpid() != parent:
-                    raise RuntimeError("child fails")
-                yield block
-
-        monkeypatch.setattr(pickle, "dump", dump_part_then_die)
-        monkeypatch.setattr(datasets, "_csv_blocks", first_block_then_fail)
-        # a block past the file's 8 KiB buffer is written through at once
-        monkeypatch.setattr(datasets, "_CSV_BLOCK_ROWS", 256)
-        self._load_and_save_as_one_process(
-            tmp_path, make_gaussian(seed=8, modalities=3, genuine=700, impostor=900))
-        assert len(forks) == 2
-
-    def test_no_process_to_spare_changes_nothing(self, tmp_path, make_gaussian,
-                                                 monkeypatch, forks, any_size):
-        calls = []
-
-        def no_fork():
-            calls.append(None)
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        self._load_and_save_as_one_process(
-            tmp_path, make_gaussian(seed=9, modalities=3, genuine=12, impostor=15))
-        assert len(calls) == 2
-
-    def test_no_temporary_file_changes_nothing(self, tmp_path, make_gaussian, monkeypatch,
-                                               forks, any_size):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        self._load_and_save_as_one_process(
-            tmp_path, make_gaussian(seed=10, modalities=3, genuine=12, impostor=15))
-        assert forks == []
-
-    def test_an_error_here_kills_the_child(self, forks):
-        """The child's work is discarded when ``first`` raises, so the error
-        does not wait for ``second`` to finish."""
-        def failing():
-            raise RuntimeError("fails here")
-
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="fails here"):
-            twoproc.in_two_processes(failing, lambda spool: time.sleep(60), pickle.load)
-        assert time.monotonic() - start < 10
-        assert_no_child_left()
-        assert len(forks) == 1
 
 
 class TestSplit:

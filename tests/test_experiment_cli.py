@@ -1,16 +1,13 @@
 """Experiment pipeline report/artifacts and the command-line interface."""
 
-import errno
 import json
 import math
 import os
-import signal
 from functools import partial
 
-import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, outcome
+from conftest import assert_no_child_left, outcome, use_one_cpu
 from fusebench import baselines
 from fusebench.baselines import GaConfig
 from fusebench.cli import main
@@ -27,7 +24,6 @@ from fusebench.experiment import (
 from fusebench.gp import EvolutionConfig
 from fusebench.metrics import gain, sweep_roc
 from fusebench.trees import parse_sexpr
-from test_baselines import tiny_ga_config
 from test_golden import banca_shaped_dataset
 
 
@@ -206,9 +202,9 @@ class TestRunExperiment:
 
 
 class TestSearchesInTwoProcesses:
-    """With both searches, on a process that can split, a forked child tunes
-    the weights while this process evolves the tree, whatever the GA's size;
-    the artifacts and errors are those of one process."""
+    """Only a run of both searches, on a process that can split, has a forked
+    child tune the weights while this process evolves the tree.  That two
+    processes give one process's artifacts is ``test_twoproc``'s to check."""
 
     @pytest.fixture(scope="class")
     def ds(self):
@@ -218,55 +214,11 @@ class TestSearchesInTwoProcesses:
     def artifacts(ds, **kwargs):
         return run_experiment(ds, gp_generations=1, **kwargs).artifacts
 
-    @pytest.fixture(scope="class")
-    def one_process(self, ds):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            return self.artifacts(ds)
-
-    def test_gives_the_one_process_artifacts(self, ds, one_process, forks):
-        assert self.artifacts(ds) == one_process
-        assert_no_child_left()
-        assert len(forks) == 1
-
     @pytest.mark.parametrize("methods", [("weight",), ("gp",)], ids=["weight", "gp"])
     def test_forks_only_for_both_searches(self, ds, forks, methods):
         run_experiment(ds, methods=methods, gp_generations=1)
         assert_no_child_left()
         assert forks == []
-
-    def test_a_tiny_ga_forks_too(self, ds, monkeypatch, forks):
-        two = self.artifacts(ds, ga_config=tiny_ga_config())
-        assert_no_child_left()
-        assert len(forks) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert self.artifacts(ds, ga_config=tiny_ga_config()) == two
-        assert len(forks) == 1
-
-    def test_no_process_to_spare(self, ds, one_process, monkeypatch, forks):
-        calls = []
-
-        def no_fork():
-            calls.append(None)
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert self.artifacts(ds) == one_process
-        assert_no_child_left()
-        assert len(calls) == 1
-
-    def test_a_child_that_dies(self, ds, one_process, monkeypatch, forks):
-        parent, tune = os.getpid(), baselines.ga_tune_weights
-
-        def dying_in_the_child(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return tune(*args)
-
-        monkeypatch.setattr(baselines, "ga_tune_weights", dying_in_the_child)
-        assert self.artifacts(ds) == one_process
-        assert_no_child_left()
-        assert len(forks) == 1
 
     def test_a_ga_error_is_the_one_process_error(self, ds, monkeypatch, forks):
         def failing(train, cfg):
@@ -276,11 +228,12 @@ class TestSearchesInTwoProcesses:
         two = outcome(self.artifacts, ds)
         assert_no_child_left()
         assert len(forks) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        use_one_cpu(monkeypatch)
         assert outcome(self.artifacts, ds) == two == (
             None, (ValidationError, "GA fails on 234 genuine rows"))
         assert_no_child_left()
         assert len(forks) == 1
+
 
 class TestWriteArtifacts:
     def test_writes_exactly_the_catalog(self, tmp_path):

@@ -6,7 +6,6 @@ reference, bit for bit."""
 
 import io
 import json
-import os
 import warnings
 
 import numpy as np
@@ -184,29 +183,23 @@ def near_valid_score_files(draw):
 # numpy strips 0x1c-0x1f around a number, and reads a field of any length
 @example(case=(2, b"0.1,0.2,impostor\n\x1c0.5,1.0,genuine\n"))
 @example(case=(2, b"0.1,0.2,impostor\n0." + b"0" * 131_070 + b"1,1.0,genuine\n"))
-@pytest.mark.parametrize("two_processes", [False, True],
-                         ids=["one process", "two processes"])
 @pytest.mark.parametrize("block", [None, 7], ids=["1 MiB blocks", "7-byte blocks"])
-def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, block, two_processes,
-                                                        case):
+def test_numpy_reader_matches_the_reference_or_declines(fuzz_csv, block, case):
     """The numpy reader returns the reference's bits and class counts, or
     declines and ``load_dataset`` gives the reference's result or error.
-    Split between two processes, or read in small blocks, it accepts
-    exactly the files one process accepts reading one block."""
+    Read in small blocks, it accepts exactly the files it accepts reading
+    one block."""
     modalities, data = case
     fuzz_csv.write_bytes(data)
     reference, error = outcome(_load_reference, fuzz_csv, io.BytesIO(data), modalities)
     with open(fuzz_csv, "rb") as handle:
-        in_one_process = _load_canonical(handle, modalities)
+        in_one_block = _load_canonical(handle, modalities)
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(datasets, "_READ_BLOCK_BYTES", block)
-        if two_processes:
-            patch.setattr(datasets, "_FORK_MIN_BYTES", 0)
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with open(fuzz_csv, "rb") as handle:
             fast = _load_canonical(handle, modalities)
-        assert (fast is None) == (in_one_process is None)
+        assert (fast is None) == (in_one_block is None)
         event("numpy reader " + ("declined" if fast is None else "accepted"))
         if fast is None:
             loaded, loaded_error = outcome(load_dataset, fuzz_csv, modalities)
