@@ -44,7 +44,6 @@ from .metrics import (
     FusedScores,
     RocCurve,
     auc,
-    exact_eer,
     gain,
     hter,
     sweep_roc,
@@ -80,7 +79,6 @@ __all__ = [
     "auc",
     "evaluate_baselines",
     "evolve",
-    "exact_eer",
     "fit_tanh_normalizer",
     "fitness",
     "fuse_classes",

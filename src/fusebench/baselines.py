@@ -4,8 +4,8 @@ These are the comparison bar for the evolved trees: the fixed sum, min and
 product rules, per-modality single-matcher projections, and a weighted sum
 whose weights a real-coded genetic algorithm tunes to minimize training
 EER.  Every method is a row-wise fusion of a normalized score matrix into
-one fused score per row, and :func:`fusebench.datasets.fuse_classes`
-applies one to both classes of a dataset in one call.
+one fused score per row, and :func:`evaluate_fused_method` makes any such
+fusion, an evolved tree's too, into one report row.
 
 The weighted sum gives, for every layout of the matrix, the bits of
 ``(np.ascontiguousarray(scores) * w).sum(axis=1)``, so the all-ones weight
@@ -36,7 +36,7 @@ import numpy as np
 from .datasets import ScoreDataset, SplitPair, fuse_classes
 from .errors import ValidationError, check_int, check_real
 from .gp import Draws, EvolutionResult, check_score_spread, draw_rank, generational_search
-from .metrics import FusedScores, RocCurve, auc, hter, sweep_eer, sweep_roc
+from .metrics import RocCurve, auc, hter, sweep_eer, sweep_roc
 from .twoproc import forks, in_two_processes
 
 WEIGHT_LO = -10.0
@@ -289,11 +289,12 @@ def ga_tune_weights(train: ScoreDataset, cfg: GaConfig) -> EvolutionResult:
                                cfg.generations, 1 if cfg.elitism else 0)
 
 
-def evaluate_fused_method(method: str, train_fs: FusedScores,
-                          validation_fs: FusedScores) -> MethodEvaluation:
-    """Standard protocol for one method: pick the EER threshold on train,
-    then report validation EER, HTER at that transferred threshold, and
-    validation AUC."""
+def evaluate_fused_method(method: str, split: SplitPair, fuse) -> MethodEvaluation:
+    """Standard protocol for one method, the row-wise fusion ``fuse``: pick
+    the EER threshold on ``split.train``, then report validation EER, HTER
+    at that transferred threshold, and validation AUC."""
+    train_fs = fuse_classes(fuse, split.train)
+    validation_fs = fuse_classes(fuse, split.validation)
     train_curve = sweep_roc(train_fs)
     validation_curve = sweep_roc(validation_fs)
     return MethodEvaluation(
@@ -307,14 +308,10 @@ def evaluate_fused_method(method: str, train_fs: FusedScores,
     )
 
 
-def _evaluate(split: SplitPair, method: str, fuse) -> MethodEvaluation:
-    return evaluate_fused_method(
-        method, fuse_classes(fuse, split.train), fuse_classes(fuse, split.validation))
-
-
 def evaluate_weighted(split: SplitPair, ga_result: EvolutionResult) -> MethodEvaluation:
     """The ``weight`` row: the weighted sum with ``ga_result``'s tuned weights."""
-    return _evaluate(split, "weight", partial(fuse_weighted_matrix, ga_result.best_individual))
+    return evaluate_fused_method(
+        "weight", split, partial(fuse_weighted_matrix, ga_result.best_individual))
 
 
 def evaluate_baselines(
@@ -330,7 +327,7 @@ def evaluate_baselines(
     fusions = [(f"s{m + 1}", lambda scores, m=m: scores[:, m])
                for m in range(split.train.modality_count)]
     fusions += [(rule, partial(fuse_rule_matrix, rule)) for rule in rules]
-    results = [_evaluate(split, name, fuse) for name, fuse in fusions]
+    results = [evaluate_fused_method(name, split, fuse) for name, fuse in fusions]
     ga_result = None
     if ga_config is not None:
         ga_result = ga_tune_weights(split.train, ga_config)

@@ -9,7 +9,7 @@ more likely genuine); matchers that emit distances can be flipped per
 modality at load time.
 
 A canonical file, printable ASCII with LF endings and no quotes as
-:func:`dataset_to_csv` writes it, is read by numpy's C parser; every other
+:func:`save_dataset` writes it, is read by numpy's C parser; every other
 file, and every file that parser cannot vouch for, by the ``csv``-module
 reference reader.  Both give the same float64 bits, and only the reference
 raises a data error, so every message and line number is the reference's.
@@ -337,16 +337,19 @@ def _load_reference(path: Path, handle, modality_count: int):
     with io.TextIOWrapper(handle, encoding="utf-8-sig",
                           errors="surrogateescape", newline="") as text:
         reader = csv.reader(text)
+        line_no = 1  # the first physical line of the next record
         try:
-            for line_no, row in enumerate(reader, start=1):
+            for row in reader:
+                # a quoted field may span lines; an error names the record's first
+                first, line_no = line_no, reader.line_num + 1
                 if not row:
                     continue
-                if line_no == 1 and not _looks_numeric(row[0]):
+                if first == 1 and not _looks_numeric(row[0]):
                     continue  # optional header
-                scores, label = _parse_row(path, line_no, row, modality_count)
+                scores, label = _parse_row(path, first, row, modality_count)
                 (genuine_rows if label == "genuine" else impostor_rows).append(scores)
         except csv.Error as exc:
-            raise ScoreFileError(path, reader.line_num, f"malformed CSV: {exc}") from None
+            raise ScoreFileError(path, line_no, f"malformed CSV: {exc}") from None
     for what, rows in (("genuine", genuine_rows), ("impostor", impostor_rows)):
         if not rows:
             raise ValidationError(f"{path}: score file contains no {what} rows")
@@ -406,15 +409,11 @@ def _csv_blocks(ds: ScoreDataset, start: int, stop: int) -> Iterable[bytes]:
             yield ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode()
 
 
-def dataset_to_csv(ds: ScoreDataset) -> str:
-    """Canonical CSV form: no header, genuine rows first, LF line endings."""
-    return b"".join(_csv_blocks(ds, 0, ds.scores.shape[0])).decode()
-
-
 def save_dataset(ds: ScoreDataset, path) -> None:
-    """Write :func:`dataset_to_csv`'s text one row block at a time; past
-    ``_FORK_MIN_BYTES`` of scores, a forked child formats the second half of
-    the rows, which follows this process's half."""
+    """Write the canonical CSV form, no header, genuine rows first and LF line
+    endings, one row block at a time; past ``_FORK_MIN_BYTES`` of scores, a
+    forked child formats the second half of the rows, which follows this
+    process's half."""
     n = ds.scores.shape[0]
     with open(path, "wb") as handle:
         if not (ds.scores.nbytes > _FORK_MIN_BYTES and forks()):

@@ -44,7 +44,7 @@ from .baselines import (
     evaluate_weighted,
 )
 from . import baselines, gp
-from .datasets import ScoreDataset, fuse_classes, split_dataset
+from .datasets import ScoreDataset, split_dataset
 from .errors import UndefinedGainError, ValidationError, check_int
 from .gp import EvolutionConfig, EvolutionResult, evolve, history_to_csv
 from .metrics import gain, roc_to_csv
@@ -159,9 +159,8 @@ def run_experiment(ds: ScoreDataset, *, methods=FUSION_METHODS, seed: int = 42,
 
     if gp_result is not None:
         # read through gp, as gp.fitness does, so a wrapper of it sees this row too
-        fuse = partial(gp.evaluate_matrix, gp_result.best_individual)
         rows.append(evaluate_fused_method(
-            "gp", fuse_classes(fuse, train), fuse_classes(fuse, validation)))
+            "gp", normalized, partial(gp.evaluate_matrix, gp_result.best_individual)))
 
     results = {}
     for row in rows:

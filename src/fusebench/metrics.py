@@ -24,9 +24,6 @@ about ten probes, and builds no grid: a probe computes its one threshold by
 the grid's formula, counts the impostors at or above it, and bisects the
 sorted genuine scores for those below it.  Only the genuine class is
 sorted.
-
-:func:`exact_eer` evaluates every threshold where the rates can change and
-exists so the grid approximation can be checked against ground truth.
 """
 
 from __future__ import annotations
@@ -93,26 +90,6 @@ class RocCurve:
             raise ValidationError("threshold/FAR/FRR arrays must align")
 
 
-def _counts_at(fs: FusedScores, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer (impostors >= t, genuines < t) counts per threshold.
-
-    searchsorted on the sorted class scores gives exact counts in O(log n)
-    per threshold; 'left' matches the >= / < pair of conventions.
-    """
-    gen = np.sort(fs.genuine)
-    imp = np.sort(fs.impostor)
-    gen_lt = np.searchsorted(gen, thresholds, side="left")
-    imp_ge = imp.size - np.searchsorted(imp, thresholds, side="left")
-    return imp_ge, gen_lt
-
-
-def _eer_index(fs: FusedScores, imp_ge: np.ndarray, gen_lt: np.ndarray) -> int:
-    # |FAR - FRR| compared exactly via integer cross-multiplication, so the
-    # lowest-index tie rule is immune to float rounding of the rates.
-    diff = np.abs(imp_ge * fs.genuine.size - gen_lt * fs.impostor.size)
-    return int(np.argmin(diff))
-
-
 def _grid_range(lo, hi) -> tuple[float, float]:
     """The sweep's ``lo`` and span ``hi - lo`` as floats, for
     :func:`_threshold_grid`; a span that overflows float64 is an error."""
@@ -141,10 +118,15 @@ def sweep_roc(fs: FusedScores) -> RocCurve:
     """
     thresholds = _threshold_grid(*_grid_range(min(fs.genuine.min(), fs.impostor.min()),
                                               max(fs.genuine.max(), fs.impostor.max())))
-    imp_ge, gen_lt = _counts_at(fs, thresholds)
+    # searchsorted 'left' on each sorted class counts exactly the impostors
+    # >= t and the genuines < t
+    gen_lt = np.searchsorted(np.sort(fs.genuine), thresholds, side="left")
+    imp_ge = fs.impostor.size - np.searchsorted(np.sort(fs.impostor), thresholds, side="left")
     far = imp_ge / fs.impostor.size
     frr = gen_lt / fs.genuine.size
-    i = _eer_index(fs, imp_ge, gen_lt)
+    # |FAR - FRR| compared exactly via integer cross-multiplication, so the
+    # lowest-index tie rule is immune to float rounding of the rates
+    i = int(np.argmin(np.abs(imp_ge * fs.genuine.size - gen_lt * fs.impostor.size)))
     eer = float((far[i] + frr[i]) / 2.0)
     return RocCurve(thresholds, far, frr, eer=eer, eer_threshold=float(thresholds[i]))
 
@@ -194,23 +176,6 @@ def sweep_eer(genuine, impostor) -> float:
         a -= 1
     imp_ge, gen_lt = count(a)
     return (imp_ge / i + gen_lt / g) / 2.0
-
-
-def exact_eer(fs: FusedScores) -> float:
-    """EER with no grid error, for auditing :func:`sweep_roc`.
-
-    FAR and FRR are step functions that only change at observed score
-    values, so evaluating every distinct score, every midpoint between
-    consecutive distinct scores, and sentinels beyond both ends visits
-    every achievable (FAR, FRR) pair.  Returns (FAR + FRR) / 2 at the
-    lowest candidate threshold minimizing |FAR - FRR|.
-    """
-    distinct = np.unique(np.concatenate([fs.genuine, fs.impostor]))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    candidates = np.sort(np.concatenate([[-np.inf], distinct, mids, [np.inf]]))
-    imp_ge, gen_lt = _counts_at(fs, candidates)
-    i = _eer_index(fs, imp_ge, gen_lt)
-    return float((imp_ge[i] / fs.impostor.size + gen_lt[i] / fs.genuine.size) / 2.0)
 
 
 def hter(fs: FusedScores, threshold: float) -> float:

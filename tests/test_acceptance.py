@@ -31,9 +31,10 @@ from fusebench.datasets import (
 )
 from fusebench.experiment import run_experiment, write_artifacts
 from fusebench.gp import EvolutionConfig, evolve, fitness
-from fusebench.metrics import FusedScores, exact_eer, gain, sweep_roc
+from fusebench.metrics import FusedScores, gain, sweep_roc
 from fusebench.normalization import TanhNormalizer, fit_tanh_normalizer
 from fusebench.trees import Func, evaluate_matrix
+from oracles import exact_eer
 
 
 SWEEP_ORACLE_TOL = 0.005       # criterion 1: grid EER vs exhaustive oracle

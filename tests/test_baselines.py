@@ -23,7 +23,7 @@ from fusebench.datasets import ScoreDataset, SplitPair, fuse_classes, split_data
 from fusebench.errors import ValidationError
 from fusebench.experiment import run_experiment
 from fusebench.gp import generational_search
-from fusebench.metrics import FusedScores, auc, sweep_roc
+from fusebench.metrics import auc, sweep_roc
 from fusebench.normalization import fit_tanh_normalizer
 from oracles import naive_far, naive_frr
 from test_golden import banca_shaped_dataset
@@ -223,11 +223,7 @@ class TestSingleModality:
     def test_projects_one_column(self, make_gaussian):
         split = normalized_split(make_gaussian(seed=45, modalities=3))
         row = evaluate_baselines(split, rules=()).results[1]
-        expected = evaluate_fused_method(
-            "s2",
-            FusedScores(split.train.genuine[:, 1], split.train.impostor[:, 1]),
-            FusedScores(split.validation.genuine[:, 1], split.validation.impostor[:, 1]),
-        )
+        expected = evaluate_fused_method("s2", split, lambda scores: scores[:, 1])
         assert row.method == "s2"
         for name in ("train_eer", "train_eer_threshold", "validation_eer",
                      "validation_hter", "validation_auc"):
@@ -503,7 +499,8 @@ class TestEvaluateFusedMethod:
         validation = make_gaussian(seed=31, modalities=2, genuine=50, impostor=100)
         train_fs = sum_scores(train)
         validation_fs = sum_scores(validation)
-        row = evaluate_fused_method("sum", train_fs, validation_fs)
+        row = evaluate_fused_method("sum", SplitPair(train, validation),
+                                    partial(fuse_rule_matrix, "sum"))
 
         train_curve = sweep_roc(train_fs)
         assert row.method == "sum"
@@ -518,8 +515,7 @@ class TestEvaluateFusedMethod:
 
     def test_identical_splits_transfer_losslessly(self, make_gaussian):
         ds = make_gaussian(seed=32, modalities=2)
-        fs = sum_scores(ds)
-        row = evaluate_fused_method("sum", fs, fs)
+        row = evaluate_fused_method("sum", SplitPair(ds, ds), partial(fuse_rule_matrix, "sum"))
         assert row.validation_hter == row.train_eer == row.validation_eer
 
 

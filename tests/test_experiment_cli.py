@@ -5,13 +5,26 @@ import math
 import os
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import assert_no_child_left, outcome, use_one_cpu
 from fusebench import baselines
-from fusebench.baselines import GaConfig
+from fusebench.baselines import (
+    FIXED_RULES,
+    GaConfig,
+    evaluate_fused_method,
+    fuse_rule_matrix,
+    fuse_weighted_matrix,
+)
 from fusebench.cli import main
-from fusebench.datasets import SyntheticSpec, load_dataset
+from fusebench.datasets import (
+    SplitPair,
+    SyntheticSpec,
+    fuse_classes,
+    load_dataset,
+    split_dataset,
+)
 from fusebench.errors import ValidationError
 from fusebench.experiment import (
     FUSION_METHODS,
@@ -22,8 +35,9 @@ from fusebench.experiment import (
     write_artifacts,
 )
 from fusebench.gp import EvolutionConfig
-from fusebench.metrics import gain, sweep_roc
-from fusebench.trees import parse_sexpr
+from fusebench.metrics import gain, roc_to_csv, sweep_roc
+from fusebench.normalization import fit_tanh_normalizer
+from fusebench.trees import evaluate_matrix, parse_sexpr
 from test_golden import banca_shaped_dataset
 
 
@@ -45,6 +59,10 @@ def small_components():
 def run_small(ds, methods=FUSION_METHODS, seed=42) -> ExperimentResult:
     ga, gp = small_components()
     return run_experiment(ds, methods=methods, seed=seed, ga_config=ga, gp_config=gp)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 class TestSelectMethods:
@@ -112,6 +130,8 @@ class TestRunExperiment:
         result = run_small(ds, methods=("gp",))
         entry = result.report["results"]["gp"]
         assert entry["train_best_fitness"] == result.gp_result.best_fitness
+        # the fitness reads the EER through sweep_eer, the row through sweep_roc
+        assert entry["train_best_fitness"] == entry["train_eer"]
         assert entry["generations_run"] == len(result.gp_result.history) - 1
         tree = parse_sexpr(entry["tree"])
         assert tree == result.gp_result.best_individual
@@ -189,16 +209,48 @@ class TestRunExperiment:
     def test_gp_validation_numbers_replay_outside_the_pipeline(self, make_gaussian):
         ds = make_gaussian(seed=60, modalities=2, genuine=40, impostor=80)
         result = run_small(ds, methods=("gp",))
-        from fusebench.datasets import SplitPair, fuse_classes, split_dataset
-        from fusebench.normalization import fit_tanh_normalizer
-        from fusebench.trees import evaluate_matrix
-
         split = split_dataset(ds)
         norm = fit_tanh_normalizer(split.train)
         validation = norm.transform_dataset(split.validation)
         tree = result.gp_result.best_individual
         replayed = sweep_roc(fuse_classes(partial(evaluate_matrix, tree), validation))
         assert replayed.eer == result.report["results"]["gp"]["validation_eer"]
+
+    def test_every_row_is_the_evaluator_recomputed_outside_the_pipeline(
+            self, make_gaussian):
+        ds = make_gaussian(seed=61, modalities=3, genuine=40, impostor=80)
+        result = run_small(ds)
+        raw = split_dataset(ds)
+        norm = fit_tanh_normalizer(raw.train)
+        split = SplitPair(norm.transform_dataset(raw.train),
+                          norm.transform_dataset(raw.validation))
+        fusions = {f"s{m + 1}": lambda scores, m=m: scores[:, m] for m in range(3)}
+        fusions.update({rule: partial(fuse_rule_matrix, rule) for rule in FIXED_RULES})
+        fusions["weight"] = partial(fuse_weighted_matrix,
+                                    result.baseline.ga_result.best_individual)
+        fusions["gp"] = partial(evaluate_matrix, result.gp_result.best_individual)
+        assert [row.method for row in result.rows] == list(fusions)
+        for row in result.rows:
+            want = evaluate_fused_method(row.method, split, fusions[row.method])
+            entry = result.report["results"][row.method]
+            for name in ("train_eer", "train_eer_threshold", "validation_eer",
+                         "validation_hter", "validation_auc"):
+                assert bits(getattr(row, name)) == bits(getattr(want, name)), name
+                assert bits(entry[name]) == bits(getattr(want, name)), name
+            got, curve = row.validation_roc, want.validation_roc
+            for name in ("thresholds", "far", "frr", "eer", "eer_threshold"):
+                assert np.array_equal(bits(getattr(got, name)), bits(getattr(curve, name)))
+            assert result.artifacts[f"roc_{row.method}.csv"] == roc_to_csv(curve)
+
+    def test_nine_modality_weight_row_never_trails_the_sum_row_on_train(
+            self, make_gaussian):
+        # nine columns take the weighted sum's 8-accumulator path; of two
+        # chromosomes, the equal-weight seed must give the sum rule's EER
+        ds = make_gaussian(seed=62, modalities=9, genuine=100, impostor=300)
+        result = run_experiment(ds, methods=("sum", "weight"),
+                                ga_config=GaConfig(seed=1, population_size=2, generations=1))
+        rows = result.report["results"]
+        assert rows["weight"]["train_eer"] <= rows["sum"]["train_eer"]
 
 
 class TestSearchesInTwoProcesses:
@@ -429,6 +481,18 @@ class TestCliRun:
         assert "--seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_genuine_mean_is_a_data_error(self, tmp_path, capsys):
+        # scores near 1e308 load, but their genuine mean overflows
+        huge = tmp_path / "huge.csv"
+        assert main(["gen-synth", "--shape", "banca", "--genuine-mean", "1e308",
+                     "--out", str(huge)]) == 0
+        capsys.readouterr()
+        code = main(["run", "--input", str(huge), "--modalities", "4", "--methods", "sum",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: means[0] must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flags_exit_through_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--modalities", "3"])  # --input and --out missing
@@ -604,6 +668,7 @@ class TestCliEvalTree:
     @pytest.mark.parametrize("sexpr", [
         "(mul (const inf) (const 0.0))",
         "(add (var 0) (const nan))",
+        "(add (var 0) (const 1e300))",  # finite, but beyond the +-1e100 clamp
     ])
     def test_non_finite_constant_is_a_data_error(
         self, score_csv, gp_run, tmp_path, capsys, sexpr
@@ -620,7 +685,30 @@ class TestCliEvalTree:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "constant must be finite" in captured.err
+        assert captured.err.startswith("error: constant must be finite")
+
+    @pytest.mark.parametrize("sexpr", [
+        "(add (var 0) (div (const 1.0) (const 0.0)))",
+        # folding a product or a quotient of constants past +-1e100 clamps it
+        "(add (var 0) (mul (const 1e100) (const 1e100)))",
+        "(add (var 0) (div (const 1e100) (const 1e-12)))",
+    ])
+    def test_folded_constants_evaluate_silently(
+        self, score_csv, gp_run, tmp_path, capsys, sexpr
+    ):
+        out, _ = gp_run
+        folded = tmp_path / "folded.txt"
+        folded.write_text(sexpr + "\n")
+        capsys.readouterr()
+        code = main([
+            "eval-tree", "--tree", str(folded),
+            "--input", str(score_csv), "--modalities", "3",
+            "--params", str(out / "normalization.json"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert 0.0 <= json.loads(captured.out)["eer"] <= 1.0
 
     @pytest.mark.parametrize("sexpr, threshold", [
         ("(add (const 0.2) (const 0.3))", 0.5),

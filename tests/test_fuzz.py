@@ -157,7 +157,7 @@ def _splice_line(draw, text, line):
 
 @st.composite
 def near_valid_score_files(draw):
-    """A modality count and a canonical score file as ``dataset_to_csv``
+    """A modality count and a canonical score file as ``save_dataset``
     writes it, with both classes, plus up to two mutations that may take it
     off the fast path."""
     modalities = draw(st.integers(2, 4))

@@ -13,14 +13,13 @@ from fusebench.metrics import (
     FusedScores,
     RocCurve,
     auc,
-    exact_eer,
     gain,
     hter,
     roc_to_csv,
     sweep_eer,
     sweep_roc,
 )
-from oracles import naive_auc, naive_exact_eer, naive_far, naive_frr, naive_sweep_eer
+from oracles import exact_eer, naive_auc, naive_exact_eer, naive_far, naive_frr, naive_sweep_eer
 
 
 def random_scores(seed, n_genuine=40, n_impostor=60, separation=1.0, decimals=None):

@@ -27,7 +27,6 @@ from fusebench.baselines import GaConfig
 from fusebench.datasets import (
     SyntheticSpec,
     _load_canonical,
-    dataset_to_csv,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -35,6 +34,7 @@ from fusebench.datasets import (
 from fusebench.errors import FusebenchError
 from fusebench.experiment import FUSION_METHODS, run_experiment, write_artifacts
 from fusebench.gp import EvolutionConfig
+from oracles import naive_dataset_to_csv
 from test_fuzz import near_valid_score_files
 
 
@@ -129,7 +129,7 @@ def cases(draw):
                              (0.0,) * modalities, (1.0,) * modalities,
                              draw(st.integers(2, 30)), draw(st.integers(2, 30)),
                              seed=draw(st.integers(0, 2**16)))
-        text = dataset_to_csv(generate_synthetic(spec))
+        text = naive_dataset_to_csv(generate_synthetic(spec))
         lines = text.splitlines(keepends=True)
         header = draw(st.booleans())
         # one blank line, or a run that puts the middle of the file among blanks
@@ -186,7 +186,7 @@ def synthetic_case(methods, negate=(1,)):
     """A 3-modality file with a header and a blank line, and tiny searches."""
     spec = SyntheticSpec(3, (1.2, 1.0, 0.8), (1.0,) * 3, (0.0,) * 3, (1.0,) * 3,
                          genuine_count=15, impostor_count=22, seed=3)
-    data = ("m0,m1,m2,label\n" + dataset_to_csv(generate_synthetic(spec))).replace(
+    data = ("m0,m1,m2,label\n" + naive_dataset_to_csv(generate_synthetic(spec))).replace(
         "impostor\n", "impostor\n\n", 1).encode()
     return (3, data, negate, methods,
             GaConfig(seed=5, population_size=8, generations=2, selection_q=0.5),
